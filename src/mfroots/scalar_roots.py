@@ -4,14 +4,18 @@ All constructions share one engine: pick a fundamental domain of the
 orbit structure, seed it with a piecewise-linear map, and extend along
 orbits by conjugation.  Exact affine closed forms are returned whenever
 the required root of the slope stays rational; otherwise evaluation is
-lazy with cost proportional to the orbit distance from the anchor, and
-stays exact-rational pointwise when the underlying map is affine over
-the rationals.
+lazy, and stays exact-rational pointwise when the underlying map is
+affine over the rationals.  A lazy evaluation k orbit steps from the
+fundamental domain costs a number of exact operations logarithmic in k
+when the orbit's generator is an exact affine map (g^k(x) = p + s^k (x - p)
+in closed form), and k single steps for generic generators and float
+points.
 """
 
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
@@ -33,9 +37,12 @@ from .maps import (
     compose_maps,
     iterate_map,
 )
-from .scalars import Scalar, as_scalar, format_scalar, rational_nth_root
+from .scalars import Scalar, as_scalar, format_scalar, is_exact, rational_nth_root
 
 _MAX_ORBIT_STEPS = 200_000
+# Single steps an orbit takes before an exact affine orbit jumps in closed
+# form: most evaluations land within two steps, where stepping is cheaper.
+_WALK = 2
 
 
 @dataclass(frozen=True)
@@ -213,10 +220,12 @@ class _SeedMap:
     def __init__(self, pieces):
         self.pieces = pieces
         self.los = [p[0] for p in pieces]
+        self.top = pieces[-1][1]
 
     def __call__(self, x):
         i = bisect.bisect_right(self.los, x) - 1
-        i = max(0, min(i, len(self.pieces) - 1))
+        if i < 0 or (i == len(self.pieces) - 1 and x > self.top):
+            raise EvaluationRangeError(f"{format_scalar(x)} outside the seed domain")
         return self.pieces[i][2](x)
 
     def inverse(self, w):
@@ -225,6 +234,84 @@ class _SeedMap:
             if min(ends) <= w <= max(ends):
                 return m.inverse(w)
         raise EvaluationRangeError(f"{format_scalar(w)} outside the seed image")
+
+
+# ---------------------------------------------------------------------------
+# orbits
+# ---------------------------------------------------------------------------
+
+class _Domain:
+    """Fundamental domain of an increasing map g: the points between the
+    anchor (closed) and image = g(anchor) (open).
+
+    fixed is g's fixed point p when g is an exact affine map with slope
+    s != 1 and the anchor is exact, so that orbits of exact points have
+    the closed form g^k(x) = p + s^k (x − p); otherwise None.  Float
+    points always step, so their results stay those of single steps bit
+    for bit."""
+
+    def __init__(self, g, anchor):
+        self.g, self.anchor, self.image = g, anchor, g(anchor)
+        self.down = self.image < anchor  # g moves points down
+        self.fixed = None
+        if isinstance(g, AffineMap) and g.slope > 0 and is_exact(anchor):
+            self.fixed = g.fixed_point()
+
+
+def _log_abs(q: Fraction) -> float:
+    # logs of the integer parts stay finite at any depth
+    return math.log(abs(q.numerator)) - math.log(q.denominator)
+
+
+def _jump_power(s: Fraction, e: Fraction, t: Fraction) -> int:
+    """Estimate of the k with s^k·e between t (closed) and s·t (open),
+    within one of the exact value; e and t are offsets from the fixed
+    point, and e must lie on t's side of it."""
+    if not e or not t or (e.numerator < 0) != (t.numerator < 0):
+        raise EvaluationRangeError("orbit never reaches the fundamental domain")
+    return -math.floor((_log_abs(e) - _log_abs(t)) / math.log(s))
+
+
+def _orbit_land(dom: _Domain, x):
+    """(g^k(x), k) for the k that lands x in the domain dom of g.
+
+    Points already in the domain cost two comparisons, and near ones a
+    step or two.  Past _WALK steps an exact affine orbit jumps to the
+    estimated power, lands within a step of the domain, and the walk
+    finishes.  Points above the domain step down first, and a walk that
+    stepped up never steps down again: only float rounding could ask it to."""
+    g, anchor, image, down, p = dom.g, dom.anchor, dom.image, dom.down, dom.fixed
+    k = walked = 0
+    rose = False
+    while True:
+        if not rose and ((x > anchor) if down else (x >= image)):
+            step = 1 if down else -1
+        elif (x <= image) if down else (x < anchor):
+            step, rose = (-1 if down else 1), True
+        else:
+            return x, k
+        if walked == _WALK and p is not None and is_exact(x):
+            e = x - p
+            j = _jump_power(g.slope, e, anchor - p)
+            x, k, rose = p + g.slope ** j * e, k + j, False
+        else:
+            x = g(x) if step > 0 else g.inverse(x)
+            k += step
+        walked += 1
+        if walked > _MAX_ORBIT_STEPS:
+            raise EvaluationRangeError("orbit normalization diverged")
+
+
+def _orbit_power(dom: _Domain, z, k):
+    """g^k(z) for the map g of dom: in closed form for exact affine orbits
+    longer than _WALK, else as |k| single steps."""
+    g, p = dom.g, dom.fixed
+    if abs(k) > _WALK and p is not None and is_exact(z):
+        return p + g.slope ** k * (z - p)
+    step = g if k > 0 else g.inverse
+    for _ in range(abs(k)):
+        z = step(z)
+    return z
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +344,8 @@ class OrbitRoot:
         if not u < anchor <= v or g(anchor) == anchor:
             raise BadSeedError(f"anchor {format_scalar(anchor)} unusable")
         self.x0 = anchor
-        self.gx0 = g(anchor)
+        self.outer = _Domain(g, anchor)  # the seed domain [g(x0), x0]
+        self.gx0 = self.outer.image
         self.divs = _divisions(self.x0, self.gx0, n, divisions,
                                floor_last=floor_last, pins=pins)
         knots = (self.x0, *self.divs, self.gx0)  # t_0 > t_1 > ... > t_n
@@ -273,29 +361,7 @@ class OrbitRoot:
         pieces.sort(key=lambda p: p[0])
         self.seed = _SeedMap(pieces)
         self.t1 = knots[1]
-        self.g_t1 = g(self.t1)
-
-    def _normalize(self, x, top, bottom):
-        dived = climbed = 0
-        y = x
-        while y > top:
-            y = self.g(y)
-            dived += 1
-            if dived > _MAX_ORBIT_STEPS:
-                raise EvaluationRangeError("orbit normalization diverged")
-        while y <= bottom:
-            y = self.g.inverse(y)
-            climbed += 1
-            if climbed > _MAX_ORBIT_STEPS:
-                raise EvaluationRangeError("orbit normalization diverged")
-        return y, dived, climbed
-
-    def _denormalize(self, z, dived, climbed):
-        for _ in range(dived):
-            z = self.g.inverse(z)
-        for _ in range(climbed):
-            z = self.g(z)
-        return z
+        self.inner = _Domain(g, self.t1)  # its image under the root
 
     def forward(self, x):
         if x == self.u:
@@ -305,8 +371,8 @@ class OrbitRoot:
         if not self.u <= x <= self.v:
             raise EvaluationRangeError(
                 f"{format_scalar(x)} outside [{format_scalar(self.u)}, {format_scalar(self.v)}]")
-        y, dived, climbed = self._normalize(x, self.x0, self.gx0)
-        return self._denormalize(self.seed(y), dived, climbed)
+        y, k = _orbit_land(self.outer, x)
+        return _orbit_power(self.outer, self.seed(y), -k)
 
     def inverse(self, w):
         if w == self.u:
@@ -315,8 +381,8 @@ class OrbitRoot:
             return self.v
         if not self.u <= w <= self.v:
             raise EvaluationRangeError(f"{format_scalar(w)} outside the root range")
-        y, dived, climbed = self._normalize(w, self.t1, self.g_t1)
-        x = self._denormalize(self.seed.inverse(y), dived, climbed)
+        y, k = _orbit_land(self.inner, w)
+        x = _orbit_power(self.inner, self.seed.inverse(y), -k)
         if x > self.v or x < self.u:
             raise EvaluationRangeError(
                 f"{format_scalar(w)} has no root preimage inside the interval")
@@ -597,47 +663,21 @@ class _OrbitConjugacy:
     """h with h∘g1 = g2∘h between two below-diagonal increasing maps."""
 
     def __init__(self, g1, u1, v1, g2, u2, v2, seg: AffineMap, x1, x2):
-        self.g1, self.u1, self.v1 = g1, u1, v1
-        self.g2, self.u2, self.v2 = g2, u2, v2
+        self.u1, self.u2 = u1, u2
         self.seg, self.x1, self.x2 = seg, x1, x2
-        self.g1x1 = g1(x1)
-        self.g2x2 = g2(x2)
-
-    def _orbit(self, x, g, top, bottom):
-        dived = climbed = 0
-        while x > top:
-            x = g(x)
-            dived += 1
-            if dived > _MAX_ORBIT_STEPS:
-                raise EvaluationRangeError("conjugacy orbit diverged")
-        while x <= bottom:
-            x = g.inverse(x)
-            climbed += 1
-            if climbed > _MAX_ORBIT_STEPS:
-                raise EvaluationRangeError("conjugacy orbit diverged")
-        return x, dived, climbed
+        self.dom1, self.dom2 = _Domain(g1, x1), _Domain(g2, x2)
 
     def forward(self, x):
         if x == self.u1:
             return self.u2
-        y, dived, climbed = self._orbit(x, self.g1, self.x1, self.g1x1)
-        z = self.seg(y)
-        for _ in range(dived):
-            z = self.g2.inverse(z)
-        for _ in range(climbed):
-            z = self.g2(z)
-        return z
+        y, k = _orbit_land(self.dom1, x)
+        return _orbit_power(self.dom2, self.seg(y), -k)
 
     def inverse(self, w):
         if w == self.u2:
             return self.u1
-        y, dived, climbed = self._orbit(w, self.g2, self.x2, self.g2x2)
-        z = self.seg.inverse(y)
-        for _ in range(dived):
-            z = self.g1.inverse(z)
-        for _ in range(climbed):
-            z = self.g1(z)
-        return z
+        y, k = _orbit_land(self.dom2, w)
+        return _orbit_power(self.dom1, self.seg.inverse(y), -k)
 
     def as_map(self) -> GenericMap:
         return GenericMap(INC, self.forward, self.inverse,
@@ -772,51 +812,16 @@ class _SelfPairRoot:
             raise BadSeedError("pairing anchors must sit on opposite sides of the fixed point")
         self.g, self.u, self.v, self.p = g, u, v, p
         self.x0, self.y0 = x0, y0
-        self.gx0 = g(x0)
-        self.seg = _affine_through(self.gx0, g(y0), x0, y0)  # decreasing
-
-    def _norm_right(self, x):
-        dived = climbed = 0
-        while x > self.x0:
-            x = self.g(x)
-            dived += 1
-            if dived > _MAX_ORBIT_STEPS:
-                raise EvaluationRangeError("pairing orbit diverged")
-        while x <= self.gx0:
-            x = self.g.inverse(x)
-            climbed += 1
-            if climbed > _MAX_ORBIT_STEPS:
-                raise EvaluationRangeError("pairing orbit diverged")
-        return x, dived, climbed
+        self.right, self.left = _Domain(g, x0), _Domain(g, y0)
+        self.seg = _affine_through(self.right.image, self.left.image, x0, y0)  # decreasing
 
     def _psi_right(self, x):
-        y, dived, climbed = self._norm_right(x)
-        z = self.seg(y)
-        for _ in range(dived):
-            z = self.g.inverse(z)
-        for _ in range(climbed):
-            z = self.g(z)
-        return z
+        y, k = _orbit_land(self.right, x)
+        return _orbit_power(self.right, self.seg(y), -k)
 
     def _psi_right_inv(self, w):
-        g_y0 = self.g(self.y0)
-        dived = climbed = 0
-        while w >= g_y0:
-            w = self.g.inverse(w)
-            dived += 1
-            if dived > _MAX_ORBIT_STEPS:
-                raise EvaluationRangeError("pairing orbit diverged")
-        while w < self.y0:
-            w = self.g(w)
-            climbed += 1
-            if climbed > _MAX_ORBIT_STEPS:
-                raise EvaluationRangeError("pairing orbit diverged")
-        x = self.seg.inverse(w)
-        for _ in range(dived):
-            x = self.g(x)
-        for _ in range(climbed):
-            x = self.g.inverse(x)
-        return x
+        y, k = _orbit_land(self.left, w)
+        return _orbit_power(self.left, self.seg.inverse(y), -k)
 
     def forward(self, x):
         if x == self.p:

@@ -6,9 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mfroots as mf
-from mfroots.maps import AffineMap, compose_maps
+from mfroots import scalar_roots
+from mfroots.maps import AffineMap, GenericMap, compose_maps
 from mfroots.scalar_roots import (
+    OrbitRoot,
     ScalarRootSeed,
+    _Domain,
+    _orbit_land,
+    _orbit_power,
     conjugacy,
     decreasing_odd_root,
     decreasing_square_root_pair,
@@ -17,6 +22,7 @@ from mfroots.scalar_roots import (
 )
 from mfroots.errors import (
     BadSeedError,
+    EvaluationRangeError,
     HasInteriorFixedPointError,
     IncompatiblePatternError,
     WrongSideError,
@@ -218,3 +224,193 @@ class TestOddSwap:
             # f^3 on the beta side reproduces B
             w = map_b(map_a(map_b(y)))
             assert abs(float(w) - float(B(y))) <= 1e-12
+
+
+def steps(g, z, k):
+    """g^k(z) by single steps: the reference for the closed-form jumps."""
+    for _ in range(abs(k)):
+        z = g(z) if k > 0 else g.inverse(z)
+    return z
+
+
+def land(g, x, anchor):
+    return _orbit_land(_Domain(g, anchor), x)
+
+
+def power(g, z, k):
+    return _orbit_power(_Domain(g, Q(1)), z, k)
+
+
+def counting(g, calls):
+    """g as a GenericMap that counts its evaluations."""
+    def fwd(x):
+        calls.append(1)
+        return g(x)
+
+    def bwd(w):
+        calls.append(-1)
+        return g.inverse(w)
+
+    return GenericMap(mf.INC, fwd, bwd, ("counting",))
+
+
+contractions = st.builds(
+    lambda a, b, p: AffineMap(Q(a, a + b), p * (1 - Q(a, a + b))),
+    st.integers(1, 63), st.integers(1, 63),
+    st.fractions(min_value=-4, max_value=4, max_denominator=32))
+
+
+class TestOrbitEngine:
+    """The orbit walker: exact affine orbits jump in closed form, the rest
+    step, and both give the Fractions single steps give."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(contractions, st.fractions(min_value=-8, max_value=8, max_denominator=1000),
+           st.integers(-40, 40))
+    def test_closed_form_power_matches_steps(self, g, z, k):
+        assert power(g, z, k) == steps(g, z, k)
+
+    @settings(max_examples=60, deadline=None)
+    @given(contractions, st.sampled_from([1, -1]),
+           st.fractions(min_value=Q(1, 100), max_value=3, max_denominator=100),
+           st.fractions(min_value=0, max_value=Q(99, 100), max_denominator=100),
+           st.integers(-40, 40))
+    def test_landing_matches_steps(self, g, side, offset, frac, m):
+        # both sides of the fixed point: anchor above it (the orbit root,
+        # conjugacy and right half of the self pairing) or below it (the
+        # self pairing's inverse)
+        p = g.fixed_point()
+        anchor = p + side * offset
+        image = g(anchor)
+        y = anchor + frac * (image - anchor)  # in the domain, closed at anchor
+        assert land(g, steps(g, y, m), anchor) == (y, -m)
+
+    @pytest.mark.parametrize("side", [1, -1])
+    @pytest.mark.parametrize("m", [0, 1, 2, 3, 40, -1, -2, -3, -40])
+    def test_landing_at_domain_ends(self, side, m):
+        # x = g^m(anchor): m = 0 is the anchor, m = 1 its image g(anchor)
+        g = AffineMap(Q(3, 5), Q(2, 5) * Q(1, 3))  # fixed point 1/3
+        anchor = Q(1, 3) + side * Q(2, 7)
+        assert land(g, steps(g, anchor, m), anchor) == (anchor, -m)
+        # just inside the open end, closer than a float log can resolve
+        image = g(anchor)
+        y = image + (anchor - image) * Q(1, 10 ** 30)
+        assert land(g, steps(g, y, m), anchor) == (y, -m)
+
+    def test_self_pair_domain_ends(self):
+        p = Q(1, 3)
+        g = AffineMap(Q(99, 100), p / 100)
+        x0, y0 = Q(3, 4), Q(1, 400)
+        psi, _ = decreasing_square_root_pair(
+            g, 0, 1, seed=ScalarRootSeed(anchor=x0, image_anchor=y0))
+        for m in (0, 1, 2, 3, 40):
+            # right-hand side: x = g^m(x0); left-hand side: w = g^m(y0)
+            assert psi(steps(g, x0, m)) == steps(g, y0, m)
+            assert psi.inverse(steps(g, y0, m)) == steps(g, x0, m)
+        assert psi.inverse(g.inverse(y0)) == g.inverse(x0)
+
+    @pytest.mark.parametrize("wrap", ["generic", "composed"])
+    def test_generic_generator_steps(self, wrap):
+        half = AffineMap(Q(1, 2), 0)
+        calls = []
+        g = counting(half, calls)
+        if wrap == "composed":
+            g = compose_maps(AffineMap(1, 0), g, AffineMap(1, 0))
+        anchor = Q(3, 4)
+        dom = _Domain(g, anchor)
+        calls.clear()
+        assert _orbit_land(dom, anchor) == (anchor, 0)
+        assert _orbit_land(dom, dom.image) == (anchor, -1)
+        assert calls == [-1]
+        calls.clear()
+        assert _orbit_land(dom, Q(3, 4 << 30)) == (anchor, -30)
+        assert calls == [-1] * 30
+        calls.clear()
+        assert _orbit_power(dom, anchor, 30) == Q(3, 4 << 30)
+        assert calls == [1] * 30
+
+    def test_float_points_step_bit_for_bit(self):
+        g = AffineMap(Q(99, 100), 0)
+        anchor = Q(3, 4)
+        x = 1e-30
+        y, k = land(g, x, anchor)
+        w, climbed = x, 0
+        while w <= g(anchor):
+            w, climbed = g.inverse(w), climbed + 1
+        assert isinstance(y, float) and (y, k) == (w, -climbed)
+        assert power(g, y, k) == steps(g, y, k)
+
+    def test_float_rounding_never_turns_a_rising_walk_down(self):
+        # right-hand side: x just above the anchor steps down past the open
+        # end by rounding, and comes back up
+        g = AffineMap(Q(99, 100), 0)
+        x = 0.7500000000000001
+        anchor = Q(x) - Q(1, 10 ** 30)
+        assert land(g, x, anchor) == (g.inverse(g(x)), 0)
+        # left-hand side: x just below the anchor steps up onto the open end
+        g = AffineMap(Q(99, 100), Q(1, 300))  # fixed point 1/3
+        x = 0.24999999999999994
+        anchor = Q(x) + Q(1, 10 ** 30)
+        assert land(g, x, anchor) == (g(x), 1)
+
+    def test_step_cap_limits_only_generic_walks(self, monkeypatch):
+        monkeypatch.setattr(scalar_roots, "_MAX_ORBIT_STEPS", 50)
+        half = AffineMap(Q(1, 2), 0)
+        x = Q(1, 2 ** 100)
+        with pytest.raises(EvaluationRangeError):
+            land(counting(half, []), x, Q(3, 4))
+        assert land(half, x, Q(3, 4)) == (Q(1, 2), -99)
+
+    @pytest.mark.parametrize("x", [Q(-1, 8), Q(0)])
+    def test_point_at_or_across_the_fixed_point_never_lands(self, x):
+        g = AffineMap(Q(1, 2), 0)
+        with pytest.raises(EvaluationRangeError):
+            land(g, x, Q(3, 4))
+
+    def test_seed_map_rejects_points_outside_its_domain(self):
+        root = OrbitRoot(AffineMap(Q(1, 2), 0), 0, 1, 2, anchor=Q(3, 4))
+        assert root.seed(Q(3, 4)) == root.seed.pieces[-1][2](Q(3, 4))
+        for x in (Q(3, 8) - Q(1, 100), Q(3, 4) + Q(1, 100)):
+            with pytest.raises(EvaluationRangeError):
+                root.seed(x)
+
+
+class TestDeepPoints:
+    """Functional equations at points far down the orbit, exactly."""
+
+    @pytest.mark.parametrize("anchor, x", [(Q(3, 4), Q(1, 10 ** 100)),
+                                           (Q(1, 10 ** 100), Q(1, 2))])
+    def test_increasing_root(self, anchor, x):
+        g = AffineMap(Q(99, 100), 0)
+        phi = increasing_nth_root(g, 0, 1, 2, ScalarRootSeed(anchor=anchor))
+        y = phi(x)
+        assert phi(y) == g(x)
+        assert phi.inverse(y) == x
+
+    def test_conjugacy(self):
+        g1, g2 = AffineMap(Q(99, 100), 0), AffineMap(Q(49, 50), 0)
+        h = conjugacy(g1, 0, 1, g2, 0, 1, mf.INC,
+                      ScalarRootSeed(anchor=Q(5, 8), image_anchor=Q(7, 8)))
+        x = Q(3, 10 ** 100)
+        assert h(g1(x)) == g2(h(x))
+        assert h.inverse(h(x)) == x
+
+    @pytest.mark.parametrize("side", [1, -1])
+    def test_self_pair(self, side):
+        p = Q(1, 3)
+        g = AffineMap(Q(99, 100), p / 100)
+        psi, _ = decreasing_square_root_pair(
+            g, 0, 1, seed=ScalarRootSeed(anchor=Q(3, 4), image_anchor=Q(1, 400)))
+        x = p + side * Q(7, 10 ** 100)
+        y = psi(x)
+        assert psi(y) == g(x)
+        assert psi.inverse(y) == x
+
+    def test_affine_orbit_past_the_step_cap(self):
+        # about 250k halvings from the anchor: more than the step cap
+        g = AffineMap(Q(1, 2), 0)
+        phi = increasing_nth_root(g, 0, 1, 2, ScalarRootSeed(anchor=Q(3, 4)))
+        x = Q(1, 2 ** 250_000)
+        y = phi(x)
+        assert phi(y) == x / 2
+        assert phi.inverse(y) == x
