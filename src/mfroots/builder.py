@@ -33,7 +33,6 @@ from .errors import (
     MfError,
     NonCompactJumpValueError,
     NotDecreasingError,
-    NotExclusiveError,
     NotIncreasingError,
     UnsupportedCaseError,
 )
@@ -48,6 +47,7 @@ from .scalar_roots import (
 )
 from .scalars import Scalar, as_scalar, format_scalar
 from .structure import (
+    _require_exclusive,
     classify_jump,
     hypothesis_H,
     intensity,
@@ -145,14 +145,6 @@ def _require_valid(F: Multifunction) -> None:
         raise InvalidMultifunctionError(report)
 
 
-def _require_exclusive(F: Multifunction) -> int:
-    z = intensity(F)
-    if z.exceeded or z.value not in (0, 1):
-        raise NotExclusiveError(
-            f"intensity {'> cap' if z.exceeded else z.value}, need 1")
-    return z.value
-
-
 # ---------------------------------------------------------------------------
 # shared pullback helpers
 # ---------------------------------------------------------------------------
@@ -206,6 +198,20 @@ def _map_recipe(m) -> object:
         return ["affine", format_scalar(m.slope), format_scalar(m.intercept)]
     recipe = getattr(m, "recipe", ())
     return ["generic", repr(recipe)]
+
+
+def _finish(F: Multifunction, realized: Multifunction, n: int,
+            cfg: EquivalenceConfig, pipeline: str, orientation: str,
+            payload: Dict[str, object]) -> RootArtifact:
+    """Validate a constructed root, verify fⁿ = F and attach its recipe."""
+    report = realized.validate()
+    if not report.ok:
+        raise MfError(f"constructed root fails validation: {report.summary()}")
+    verification = verify_root(realized, F, n, cfg)
+    if not verification.passed:
+        raise MfError(f"constructed root fails verification: {verification}")
+    return RootArtifact(RootRecipe(pipeline, n, orientation, payload),
+                        realized, verification)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +351,6 @@ def _merge_piece_roots(domain: ClosedInterval,
 
 def build_increasing_root(F: Multifunction, n: int,
                           seed: Optional[ScalarRootSeed] = None,
-                          routing: Optional[Dict[int, int]] = None,
                           cfg: EquivalenceConfig = EquivalenceConfig()) -> BuildOutcome:
     """Strictly increasing order-n root of an increasing exclusive
     multifunction, or a certificate explaining why the construction (and,
@@ -356,9 +361,6 @@ def build_increasing_root(F: Multifunction, n: int,
     if F.orientation is not INC:
         raise NotIncreasingError("increasing pipeline needs an increasing target")
     _require_exclusive(F)
-    if routing:
-        raise UnsupportedCaseError(
-            "only the canonical direct-to-absorbing routing is implemented")
 
     split = split_at_inclusion_fixed_points(F)
     piece_roots: List[Multifunction] = []
@@ -385,29 +387,74 @@ def build_increasing_root(F: Multifunction, n: int,
         })
 
     realized = _merge_piece_roots(F.domain, piece_roots)
-    report = realized.validate()
-    if not report.ok:
-        raise MfError(f"constructed root fails validation: {report.summary()}")
-    verification = verify_root(realized, F, n, cfg)
-    if not verification.passed:
-        raise MfError(f"constructed root fails verification: {verification}")
-    recipe = RootRecipe("increasing", n, "inc", {
+    return _finish(F, realized, n, cfg, "increasing", "inc", {
         "seed": _seed_to_payload(seed),
         "cuts": [format_scalar(c) for c in split.cuts],
         "pieces": piece_payload,
     })
-    return RootArtifact(recipe, realized, verification)
+
+
+# ---------------------------------------------------------------------------
+# realization of decreasing roots
+# ---------------------------------------------------------------------------
+
+def _realize_decreasing(F: Multifunction, root_maps: Dict[int, object],
+                        n: int) -> Multifunction:
+    """Decreasing root of order n from its branch maps on F's partition:
+    each branch is probed at both closure ends so that partial orbit maps
+    fail fast, J1 jump values are pulled back n − 1 times, and J2 values
+    span the root's one-sided limits."""
+    root_branches = tuple(Branch(br.lo, br.hi, root_maps[i])
+                          for i, br in enumerate(F.branches))
+    for br in root_branches:
+        try:
+            br.map(br.lo)
+            br.map(br.hi)
+        except EvaluationRangeError as exc:
+            raise IncompatiblePatternError(
+                f"extension cannot cover the image on ({format_scalar(br.lo)}, "
+                f"{format_scalar(br.hi)}): {exc}") from exc
+
+    root_jumps = []
+    for jp in F.jumps:
+        cls = classify_jump(F, jp.location)
+        c = jp.location
+        if cls.kind in ("J3", "J4"):
+            raise UnsupportedCaseError(
+                f"jump {format_scalar(c)} in case {cls.kind}; decreasing "
+                "roots there remain open")
+        if cls.kind == "J1":
+            try:
+                value = _pullback_valueset(root_branches, jp.value, n - 1)
+            except MfError as exc:
+                raise ConditionJStarViolatedError(c, str(exc)) from exc
+        else:  # J2
+            if not jp.value.is_single_interval:
+                raise NonCompactJumpValueError(c)
+            left = [br for br in root_branches if br.hi == c]
+            right = [br for br in root_branches if br.lo == c]
+            if not left or not right:
+                raise UnsupportedCaseError(
+                    f"J2 jump at the boundary {format_scalar(c)} for a "
+                    "decreasing root is not constructed")
+            hi_lim = left[0].map(c)
+            lo_lim = right[0].map(c)
+            if not lo_lim < hi_lim:
+                raise ConditionJStarViolatedError(
+                    c, "one-sided limits of the root do not leave a gap")
+            inside = [d for d in F.jump_locations if lo_lim <= d <= hi_lim]
+            if inside != [c]:
+                raise ConditionJStarViolatedError(
+                    c, f"[{format_scalar(lo_lim)}, {format_scalar(hi_lim)}] "
+                       f"covers jumps {inside}, need exactly the jump itself")
+            value = ValueSet.interval(lo_lim, hi_lim)
+        root_jumps.append(JumpPoint(c, value))
+    return Multifunction(F.domain, DEC, root_branches, tuple(root_jumps))
 
 
 # ---------------------------------------------------------------------------
 # decreasing square roots of increasing targets
 # ---------------------------------------------------------------------------
-
-def _probe_branch(br: Branch) -> None:
-    """Touch both closure ends so partial orbit maps fail fast."""
-    br.map(br.lo)
-    br.map(br.hi)
-
 
 def build_decreasing_square_root(F: Multifunction,
                                  pairing: Optional[List[Tuple[int, int]]] = None,
@@ -418,10 +465,9 @@ def build_decreasing_square_root(F: Multifunction,
     _require_valid(F)
     if F.orientation is not INC:
         raise NotIncreasingError("decreasing square roots need an increasing target")
-    _require_exclusive(F)
     seed = seed if seed is not None else DEFAULT_SEED
 
-    lam = invariant_intervals(F)
+    lam = invariant_intervals(F)  # also requires F to be exclusive
     if pairing is None:
         if len(lam) == 2:
             pairing = [(lam[0], lam[1])]
@@ -473,61 +519,12 @@ def build_decreasing_square_root(F: Multifunction,
         i1 = pair_of[table.delta[i]]
         root_maps[i] = compose_maps(root_maps[i1].inverse_map(), branches[i].map)
 
-    root_branches = tuple(Branch(br.lo, br.hi, root_maps[i])
-                          for i, br in enumerate(branches))
-    for br in root_branches:
-        try:
-            _probe_branch(br)
-        except EvaluationRangeError as exc:
-            raise IncompatiblePatternError(
-                f"extension cannot cover the image on ({format_scalar(br.lo)}, "
-                f"{format_scalar(br.hi)}): {exc}") from exc
-
-    root_jumps = []
-    for jp in F.jumps:
-        cls = classify_jump(F, jp.location)
-        c = jp.location
-        if cls.kind in ("J3", "J4"):
-            raise UnsupportedCaseError(
-                f"jump {format_scalar(c)} in case {cls.kind}; decreasing "
-                "roots there remain open")
-        if cls.kind == "J1":
-            value = _pullback_valueset(root_branches, jp.value, 1)
-        else:  # J2
-            if not jp.value.is_single_interval:
-                raise NonCompactJumpValueError(c)
-            left = [br for br in root_branches if br.hi == c]
-            right = [br for br in root_branches if br.lo == c]
-            if not left or not right:
-                raise UnsupportedCaseError(
-                    f"J2 jump at the boundary {format_scalar(c)} for a "
-                    "decreasing root is not constructed")
-            hi_lim = left[0].map(c)
-            lo_lim = right[0].map(c)
-            if not lo_lim < hi_lim:
-                raise ConditionJStarViolatedError(
-                    c, "one-sided limits of the root do not leave a gap")
-            inside = [d for d in F.jump_locations if lo_lim <= d <= hi_lim]
-            if inside != [c]:
-                raise ConditionJStarViolatedError(
-                    c, f"[{format_scalar(lo_lim)}, {format_scalar(hi_lim)}] "
-                       f"covers jumps {inside}, need exactly the jump itself")
-            value = ValueSet.interval(lo_lim, hi_lim)
-        root_jumps.append(JumpPoint(c, value))
-
-    realized = Multifunction(F.domain, DEC, root_branches, tuple(root_jumps))
-    report = realized.validate()
-    if not report.ok:
-        raise MfError(f"constructed root fails validation: {report.summary()}")
-    verification = verify_root(realized, F, 2, cfg)
-    if not verification.passed:
-        raise MfError(f"constructed root fails verification: {verification}")
-    recipe = RootRecipe("dec_square", 2, "dec", {
+    realized = _realize_decreasing(F, root_maps, 2)
+    return _finish(F, realized, 2, cfg, "dec_square", "dec", {
         "seed": _seed_to_payload(seed if seed is not DEFAULT_SEED else None),
         "pairing": [[i, j] for i, j in pairing],
         "maps": {str(i): _map_recipe(m) for i, m in sorted(root_maps.items())},
     })
-    return RootArtifact(recipe, realized, verification)
 
 
 # ---------------------------------------------------------------------------
@@ -617,62 +614,11 @@ def build_decreasing_odd_root(F: Multifunction, k: int,
         root_maps[i] = compose_maps(iterate_map(squares[t], m).inverse_map(),
                                     branches[i].map)
 
-    root_branches = tuple(Branch(br.lo, br.hi, root_maps[i])
-                          for i, br in enumerate(branches))
-    for br in root_branches:
-        try:
-            _probe_branch(br)
-        except EvaluationRangeError as exc:
-            raise IncompatiblePatternError(
-                f"extension cannot cover the image on ({format_scalar(br.lo)}, "
-                f"{format_scalar(br.hi)}): {exc}") from exc
-
-    root_jumps = []
-    for jp in F.jumps:
-        cls = classify_jump(F, jp.location)
-        c = jp.location
-        if cls.kind in ("J3", "J4"):
-            raise UnsupportedCaseError(
-                f"jump {format_scalar(c)} in case {cls.kind}; open for "
-                "decreasing roots")
-        if cls.kind == "J1":
-            try:
-                value = _pullback_valueset(root_branches, jp.value, k - 1)
-            except (MfError, EvaluationRangeError) as exc:
-                raise ConditionJStarViolatedError(c, str(exc)) from exc
-        else:  # J2
-            if not jp.value.is_single_interval:
-                raise NonCompactJumpValueError(c)
-            left = [br for br in root_branches if br.hi == c]
-            right = [br for br in root_branches if br.lo == c]
-            if not left or not right:
-                raise UnsupportedCaseError(
-                    f"J2 jump at the boundary {format_scalar(c)} is not constructed")
-            hi_lim = left[0].map(c)
-            lo_lim = right[0].map(c)
-            if not lo_lim < hi_lim:
-                raise ConditionJStarViolatedError(
-                    c, "one-sided limits of the root do not leave a gap")
-            inside = [d for d in F.jump_locations if lo_lim <= d <= hi_lim]
-            if inside != [c]:
-                raise ConditionJStarViolatedError(
-                    c, f"[{format_scalar(lo_lim)}, {format_scalar(hi_lim)}] "
-                       f"covers jumps {inside}, need exactly the jump itself")
-            value = ValueSet.interval(lo_lim, hi_lim)
-        root_jumps.append(JumpPoint(c, value))
-
-    realized = Multifunction(F.domain, DEC, root_branches, tuple(root_jumps))
-    report = realized.validate()
-    if not report.ok:
-        raise MfError(f"constructed root fails validation: {report.summary()}")
-    verification = verify_root(realized, F, k, cfg)
-    if not verification.passed:
-        raise MfError(f"constructed root fails verification: {verification}")
-    recipe = RootRecipe("dec_odd", k, "dec", {
+    realized = _realize_decreasing(F, root_maps, k)
+    return _finish(F, realized, k, cfg, "dec_odd", "dec", {
         "seed": _seed_to_payload(seed if seed is not DEFAULT_SEED else None),
         "maps": {str(i): _map_recipe(mp) for i, mp in sorted(root_maps.items())},
     })
-    return RootArtifact(recipe, realized, verification)
 
 
 # ---------------------------------------------------------------------------

@@ -155,14 +155,6 @@ class ValueSet:
             raise StructureError(f"{self} is not a singleton")
         return self.components[0].lo
 
-    def map_through(self, m) -> "ValueSet":
-        """Image under a strictly monotone map, componentwise."""
-        out = []
-        for c in self.components:
-            p, q = m(c.lo), m(c.hi)
-            out.append(ClosedInterval(min(p, q), max(p, q)))
-        return ValueSet.from_intervals(out)
-
     def reflected(self, pivot_sum: Scalar) -> "ValueSet":
         return ValueSet(tuple(c.reflected(pivot_sum) for c in reversed(self.components)))
 

@@ -36,6 +36,7 @@ from .maps import (
     Orientation,
     compose_maps,
     iterate_map,
+    reflect_map,
 )
 from .scalars import Scalar, as_scalar, format_scalar, is_exact, rational_nth_root
 
@@ -314,6 +315,23 @@ def _orbit_power(dom: _Domain, z, k):
     return z
 
 
+def _in_range(x, lo, hi):
+    """x itself when it lies in [lo, hi]; orbit maps never extrapolate."""
+    if not lo <= x <= hi:
+        raise EvaluationRangeError(
+            f"{format_scalar(x)} outside [{format_scalar(lo)}, {format_scalar(hi)}]")
+    return x
+
+
+def _preimage_in(w, x, lo, hi):
+    """x, the preimage of w, when it lies in [lo, hi]."""
+    if not lo <= x <= hi:
+        raise EvaluationRangeError(
+            f"{format_scalar(w)} has no preimage inside "
+            f"[{format_scalar(lo)}, {format_scalar(hi)}]")
+    return x
+
+
 # ---------------------------------------------------------------------------
 # the orbit root (down-attracting normal form)
 # ---------------------------------------------------------------------------
@@ -368,10 +386,7 @@ class OrbitRoot:
             return self.u
         if x == self.v and self.g(self.v) == self.v:
             return self.v
-        if not self.u <= x <= self.v:
-            raise EvaluationRangeError(
-                f"{format_scalar(x)} outside [{format_scalar(self.u)}, {format_scalar(self.v)}]")
-        y, k = _orbit_land(self.outer, x)
+        y, k = _orbit_land(self.outer, _in_range(x, self.u, self.v))
         return _orbit_power(self.outer, self.seed(y), -k)
 
     def inverse(self, w):
@@ -411,25 +426,22 @@ class _MirroredRoot:
         return GenericMap(INC, self.forward, self.inverse, recipe)
 
 
-class _GluedRoot:
-    """Increasing root around an interior fixed point, glued from sides."""
+def _glued(orientation, q_in, q_out, left, right, recipe) -> GenericMap:
+    """Map sending q_in to q_out, by left below q_in and right above it;
+    the inverse takes the side that lies below q_out."""
+    lower, upper = (left, right) if orientation is INC else (right, left)
 
-    def __init__(self, q, left, right):
-        self.q, self.left, self.right = q, left, right
+    def forward(x):
+        if x == q_in:
+            return q_out
+        return left(x) if x < q_in else right(x)
 
-    def forward(self, x):
-        if x == self.q:
-            return self.q
-        return self.left(x) if x < self.q else self.right(x)
+    def inverse(w):
+        if w == q_out:
+            return q_in
+        return lower.inverse(w) if w < q_out else upper.inverse(w)
 
-    def inverse(self, w):
-        if w == self.q:
-            return self.q
-        return self.left.inverse(w) if w < self.q else self.right.inverse(w)
-
-    def as_map(self) -> GenericMap:
-        recipe = ("glued_root", format_scalar(self.q))
-        return GenericMap(INC, self.forward, self.inverse, recipe)
+    return GenericMap(orientation, forward, inverse, recipe)
 
 
 def _affine_root_fast(g: AffineMap, n: int):
@@ -470,7 +482,8 @@ def _root_below(g, u, v, n, seed: ScalarRootSeed, floor_last=None, cover=None,
             "cannot keep iterated values above the attracting end")
     if isinstance(g, AffineMap) and seed.divisions is None and seed.anchor is None:
         fast = _affine_root_fast(g, n)
-        if fast is not None and _cover_ok(fast, u, v, floor_last, cover, confine, g):
+        below = None if cover is None else (cover[0], None, cover[2])
+        if fast is not None and _cover_ok(fast, u, v, below, confine, floor_last, g):
             return fast
     pins = []
     if cover is not None and cover[2] is not None:
@@ -482,26 +495,23 @@ def _root_below(g, u, v, n, seed: ScalarRootSeed, floor_last=None, cover=None,
     return root.as_map()
 
 
-def _cover_ok(phi, u, v, floor_last, cover, confine, g):
-    """Check a candidate closed-form root against cap/coverage pins."""
-    if floor_last is not None and not phi(floor_last) < g(v):
+def _cover_ok(phi, lo, hi, cover, confine, floor_last=None, g=None):
+    """Check a closed-form root on [lo, hi] against the cap g(hi) on
+    phi(floor_last), the coverage (power, need_lo, need_hi) and the
+    confinement (power, c_lo, c_hi); None bounds are not checked."""
+    if floor_last is not None and not phi(floor_last) < g(hi):
         return False
     if cover is not None:
         power, need_lo, need_hi = cover
-        if need_hi is not None:
-            w = v
-            for _ in range(power):
-                w = phi(w)
-            if w < need_hi:
-                return False
+        if need_hi is not None and iterate_map(phi, power)(hi) < need_hi:
+            return False
+        if need_lo is not None and iterate_map(phi, power)(lo) > need_lo:
+            return False
     if confine is not None:
         power, c_lo, c_hi = confine
-        top, bottom = v, u
-        for _ in range(power):
-            top, bottom = phi(top), phi(bottom)
-        if c_hi is not None and top > c_hi:
+        if c_hi is not None and iterate_map(phi, power)(hi) > c_hi:
             return False
-        if c_lo is not None and bottom < c_lo:
+        if c_lo is not None and iterate_map(phi, power)(lo) < c_lo:
             return False
     return True
 
@@ -518,12 +528,12 @@ def _root_above(g, w, p, n, seed: ScalarRootSeed, cover=None, confine=None):
     """Root on an above-diagonal piece [w, p] (attracting fixed end p),
     via reflection to the normal form."""
     pivot = w + p
-    if isinstance(g, AffineMap):
-        if seed.divisions is None and seed.anchor is None:
-            fast = _affine_root_fast(g, n)
-            if fast is not None and _cover_ok_above(fast, w, p, cover, confine):
-                return fast
-    g_tilde = _reflect_interval_map(g, w, p)
+    if isinstance(g, AffineMap) and seed.divisions is None and seed.anchor is None:
+        fast = _affine_root_fast(g, n)
+        above = None if cover is None else (cover[0], cover[1], None)
+        if fast is not None and _cover_ok(fast, w, p, above, confine):
+            return fast
+    g_tilde = reflect_map(g, pivot)
     mirrored_cover = _mirror_triple(cover, pivot)
     mirrored_confine = _mirror_triple(confine, pivot)
     if mirrored_cover is not None and mirrored_cover[1] is not None:
@@ -543,27 +553,6 @@ def _root_above(g, w, p, n, seed: ScalarRootSeed, cover=None, confine=None):
     base = OrbitRoot(g_tilde, pivot - p, pivot - w, n, anchor=anchor,
                      divisions=seed.divisions, pins=pins)
     return _MirroredRoot(base, pivot).as_map()
-
-
-def _cover_ok_above(phi, w, p, cover, confine=None):
-    if cover is not None:
-        power, need_lo, need_hi = cover
-        if need_lo is not None:
-            z = w
-            for _ in range(power):
-                z = phi(z)
-            if z > need_lo:
-                return False
-    if confine is not None:
-        power, c_lo, c_hi = confine
-        top, bottom = p, w
-        for _ in range(power):
-            top, bottom = phi(top), phi(bottom)
-        if c_hi is not None and top > c_hi:
-            return False
-        if c_lo is not None and bottom < c_lo:
-            return False
-    return True
 
 
 def _split_cover(triple, q, for_lower):
@@ -633,8 +622,7 @@ def _increasing_root_auto(g, lo, hi, n, seed: ScalarRootSeed,
     right = _root_below(g, q, hi, n, seed,
                         cover=_split_cover(cover, q, False),
                         confine=_split_confine(confine, q, False))
-    glue = _GluedRoot(q, left, right)
-    return glue.as_map()
+    return _glued(INC, q, q, left, right, ("glued_root", format_scalar(q)))
 
 
 # ---------------------------------------------------------------------------
@@ -663,46 +651,27 @@ class _OrbitConjugacy:
     """h with h∘g1 = g2∘h between two below-diagonal increasing maps."""
 
     def __init__(self, g1, u1, v1, g2, u2, v2, seg: AffineMap, x1, x2):
-        self.u1, self.u2 = u1, u2
+        self.u1, self.v1, self.u2 = u1, v1, u2
         self.seg, self.x1, self.x2 = seg, x1, x2
         self.dom1, self.dom2 = _Domain(g1, x1), _Domain(g2, x2)
 
     def forward(self, x):
         if x == self.u1:
             return self.u2
-        y, k = _orbit_land(self.dom1, x)
+        y, k = _orbit_land(self.dom1, _in_range(x, self.u1, self.v1))
         return _orbit_power(self.dom2, self.seg(y), -k)
 
     def inverse(self, w):
         if w == self.u2:
             return self.u1
         y, k = _orbit_land(self.dom2, w)
-        return _orbit_power(self.dom1, self.seg.inverse(y), -k)
+        x = _orbit_power(self.dom1, self.seg.inverse(y), -k)
+        return _preimage_in(w, x, self.u1, self.v1)
 
     def as_map(self) -> GenericMap:
         return GenericMap(INC, self.forward, self.inverse,
                           ("orbit_conjugacy", format_scalar(self.x1),
                            format_scalar(self.x2)))
-
-
-class _GluedConjugacy:
-    def __init__(self, q1, q2, left, right):
-        self.q1, self.q2, self.left, self.right = q1, q2, left, right
-
-    def forward(self, x):
-        if x == self.q1:
-            return self.q2
-        return self.left(x) if x < self.q1 else self.right(x)
-
-    def inverse(self, w):
-        if w == self.q2:
-            return self.q1
-        return self.left.inverse(w) if w < self.q2 else self.right.inverse(w)
-
-    def as_map(self) -> GenericMap:
-        return GenericMap(INC, self.forward, self.inverse,
-                          ("glued_conjugacy", format_scalar(self.q1),
-                           format_scalar(self.q2)))
 
 
 def _conj_below(g1, u1, v1, g2, u2, v2, seed: ScalarRootSeed):
@@ -713,14 +682,6 @@ def _conj_below(g1, u1, v1, g2, u2, v2, seed: ScalarRootSeed):
         raise BadSeedError("conjugacy anchors outside the intervals")
     seg = _affine_through(g1(x1), g2(x2), x1, x2)
     return _OrbitConjugacy(g1, u1, v1, g2, u2, v2, seg, x1, x2).as_map()
-
-
-def _reflect_interval_map(g, lo, hi):
-    pivot = lo + hi
-    if isinstance(g, AffineMap):
-        return AffineMap(g.slope, pivot * (1 - g.slope) - g.intercept)
-    r = AffineMap(Fraction(-1), Fraction(pivot))
-    return compose_maps(r, g, r)
 
 
 def _conj_increasing(g1, lo1, hi1, g2, lo2, hi2, seed: ScalarRootSeed):
@@ -743,16 +704,16 @@ def _conj_increasing(g1, lo1, hi1, g2, lo2, hi2, seed: ScalarRootSeed):
             seed.divisions,
             None if seed.image_anchor is None else pivot2 - seed.image_anchor,
             None)
-        inner = _conj_below(_reflect_interval_map(g1, lo1, hi1), lo1, hi1,
-                            _reflect_interval_map(g2, lo2, hi2), lo2, hi2,
-                            seed_r)
+        inner = _conj_below(reflect_map(g1, pivot1), lo1, hi1,
+                            reflect_map(g2, pivot2), lo2, hi2, seed_r)
         return compose_maps(r2, inner, r1)
     if p1.attracting != p2.attracting:
         raise IncompatiblePatternError("interior fixed-point types differ")
     q1, q2 = p1.fixed, p2.fixed
     left = _conj_increasing(g1, lo1, q1, g2, lo2, q2, seed)
     right = _conj_increasing(g1, q1, hi1, g2, q2, hi2, seed)
-    return _GluedConjugacy(q1, q2, left, right).as_map()
+    return _glued(INC, q1, q2, left, right,
+                  ("glued_conjugacy", format_scalar(q1), format_scalar(q2)))
 
 
 def conjugacy(g1, lo1: Scalar, hi1: Scalar, g2, lo2: Scalar, hi2: Scalar,
@@ -786,7 +747,7 @@ def conjugacy(g1, lo1: Scalar, hi1: Scalar, g2, lo2: Scalar, hi2: Scalar,
     # decreasing conjugacy: reflect the target and compose back
     pivot = lo2 + hi2
     r2 = AffineMap(Fraction(-1), Fraction(pivot))
-    g2_tilde = _reflect_interval_map(g2, lo2, hi2)
+    g2_tilde = reflect_map(g2, pivot)
     seed2 = ScalarRootSeed(
         seed.anchor, seed.divisions,
         None if seed.image_anchor is None else pivot - seed.image_anchor,
@@ -826,7 +787,7 @@ class _SelfPairRoot:
     def forward(self, x):
         if x == self.p:
             return self.p
-        if x > self.p:
+        if _in_range(x, self.u, self.v) > self.p:
             return self._psi_right(x)
         return self._psi_right_inv(self.g(x))
 
@@ -834,8 +795,10 @@ class _SelfPairRoot:
         if z == self.p:
             return self.p
         if z < self.p:
-            return self._psi_right_inv(z)
-        return self.g.inverse(self._psi_right(z))
+            x = self._psi_right_inv(z)
+        else:
+            x = self.g.inverse(self._psi_right(z))
+        return _preimage_in(z, x, self.u, self.v)
 
     def as_map(self) -> GenericMap:
         return GenericMap(DEC, self.forward, self.inverse,
@@ -935,27 +898,6 @@ def _affine_odd_root_fast(g: AffineMap, k: int):
                        format_scalar(t), k))
 
 
-class _DecGlue:
-    """Decreasing map glued across a fixed point from two side maps."""
-
-    def __init__(self, p, left_map, right_map):
-        self.p, self.left_map, self.right_map = p, left_map, right_map
-
-    def forward(self, x):
-        if x == self.p:
-            return self.p
-        return self.left_map(x) if x < self.p else self.right_map(x)
-
-    def inverse(self, z):
-        if z == self.p:
-            return self.p
-        return self.right_map.inverse(z) if z < self.p else self.left_map.inverse(z)
-
-    def as_map(self) -> GenericMap:
-        return GenericMap(DEC, self.forward, self.inverse,
-                          ("dec_glue", format_scalar(self.p)))
-
-
 def odd_swap_maps(A, lo_a: Scalar, hi_a: Scalar, B, lo_b: Scalar, hi_b: Scalar,
                   k: int, seed: ScalarRootSeed = DEFAULT_SEED,
                   cover_alpha=None, cover_beta=None):
@@ -1053,4 +995,4 @@ def decreasing_odd_root(g, lo: Scalar, hi: Scalar, k: int,
     right, left, _phi = odd_swap_maps(g, p, hi, g, lo, p, k, seed,
                                       cover_alpha=cover_alpha,
                                       cover_beta=cover_beta)
-    return _DecGlue(p, left, right).as_map()
+    return _glued(DEC, p, p, left, right, ("dec_glue", format_scalar(p)))

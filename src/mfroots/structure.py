@@ -38,13 +38,6 @@ class Partition:
     intervals: Tuple[ClosedInterval, ...]  # open cores, stored by endpoints
     jumps: Tuple[Scalar, ...]
 
-    def index_of(self, x: Scalar) -> Optional[int]:
-        """Index of the open interval strictly containing x."""
-        for i, iv in enumerate(self.intervals):
-            if iv.lo < x < iv.hi:
-                return i
-        return None
-
 
 def partition(F: Multifunction) -> Partition:
     # the branch cores are exactly the maximal jump-free open intervals
@@ -55,11 +48,6 @@ def partition(F: Multifunction) -> Partition:
 @dataclass(frozen=True)
 class TransitionTable:
     delta: Dict[int, int]
-
-    def walk(self, i: int, steps: int) -> int:
-        for _ in range(steps):
-            i = self.delta[i]
-        return i
 
 
 def transition_table(F: Multifunction) -> TransitionTable:
@@ -131,11 +119,11 @@ def intensity(F: Multifunction, cap: int = 64) -> IntensityResult:
     return IntensityResult(None, cap, tuple(trace))
 
 
-def _require_exclusive(F: Multifunction, cap: int = 64) -> None:
-    z = intensity(F, cap)
+def _require_exclusive(F: Multifunction) -> None:
+    z = intensity(F)
     if z.exceeded or z.value not in (0, 1):
         raise NotExclusiveError(
-            f"intensity is {'>' + str(cap) if z.exceeded else z.value}, need 1")
+            f"intensity {'>' + str(z.cap) if z.exceeded else z.value}, need 1")
 
 
 def invariant_intervals(F: Multifunction) -> Tuple[int, ...]:

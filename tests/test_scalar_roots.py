@@ -414,3 +414,78 @@ class TestDeepPoints:
         y = phi(x)
         assert phi(y) == x / 2
         assert phi.inverse(y) == x
+
+
+class TestDeclaredIntervals:
+    """Orbit maps raise outside their declared interval instead of
+    extrapolating along the orbit."""
+
+    def test_seeded_conjugacy(self):
+        h = conjugacy(AffineMap(Q(99, 100), 0), 0, 1, AffineMap(Q(49, 50), 0), 0, 1,
+                      mf.INC, ScalarRootSeed(anchor=Q(3, 4), image_anchor=Q(1, 2)))
+        assert h(Q(3, 4)) == Q(1, 2)
+        assert h.inverse(h(1)) == 1
+        for x in (Q(-1, 4), Q(5, 4), 2):
+            with pytest.raises(EvaluationRangeError):
+                h(x)
+        with pytest.raises(EvaluationRangeError):
+            h.inverse(Q(3, 2))
+
+    def test_seeded_self_pairing(self):
+        g = AffineMap(Q(99, 100), Q(1, 300))
+        psi, _ = decreasing_square_root_pair(
+            g, 0, 1, seed=ScalarRootSeed(anchor=Q(9, 10), image_anchor=Q(1, 300)))
+        assert psi(Q(9, 10)) == Q(1, 300)
+        assert psi(0) == Q(9, 10)
+        assert psi.inverse(psi(1)) == 1
+        for x in (Q(-1, 4), Q(5, 4)):
+            with pytest.raises(EvaluationRangeError):
+                psi(x)
+        with pytest.raises(EvaluationRangeError):
+            psi.inverse(Q(-1, 2))
+
+
+def _glue_cases():
+    def root():
+        return scalar_roots._increasing_root_auto(
+            AffineMap(Q(1, 2), Q(1, 4)), 0, 1, 2, scalar_roots.DEFAULT_SEED,
+            cover=(1, Q(1, 10), Q(9, 10)), allow_interior=True)
+
+    def conj(intercept):
+        return lambda: conjugacy(AffineMap(Q(1, 2), Q(1, 4)), 0, 1,
+                                 AffineMap(Q(1, 3), intercept), 0, 1, mf.INC)
+
+    def odd():
+        return decreasing_odd_root(AffineMap(Q(-1, 4), Q(13, 16)), Q(1, 2), 1, 3)
+
+    # (build, domain, q_in, q_out, recipe)
+    return {
+        "glued_root": (root, (0, 1), Q(1, 2), Q(1, 2), ("glued_root", "1/2")),
+        "glued_conjugacy": (conj(Q(1, 3)), (0, 1), Q(1, 2), Q(1, 2),
+                            ("glued_conjugacy", "1/2", "1/2")),
+        "glued_conjugacy_shifted": (conj(Q(1, 4)), (0, 1), Q(1, 2), Q(3, 8),
+                                    ("glued_conjugacy", "1/2", "3/8")),
+        "dec_glue": (odd, (Q(1, 2), 1), Q(13, 20), Q(13, 20), ("dec_glue", "13/20")),
+    }
+
+
+class TestGlue:
+    """One glue serves the interior-fixed-point root, the conjugacy and
+    the decreasing odd root."""
+
+    @pytest.mark.parametrize("name", sorted(_glue_cases()))
+    def test_glued_map(self, name):
+        build, (lo, hi), q_in, q_out, recipe = _glue_cases()[name]
+        f = build()
+        assert isinstance(f, GenericMap) and f.recipe == recipe
+        assert f(q_in) == q_out and f.inverse(q_out) == q_in
+        below = [lo + (q_in - lo) * Q(i, 8) for i in range(1, 8)]
+        above = [q_in + (hi - q_in) * Q(i, 8) for i in range(1, 8)]
+        for x in below + above:
+            assert abs(float(f.inverse(f(x)) - x)) <= 1e-12
+            w = f(x)
+            assert abs(float(f(f.inverse(w)) - w)) <= 1e-12
+        values = [f(x) for x in below + [q_in] + above]
+        if f.orientation is mf.DEC:
+            values.reverse()
+        assert all(a < b for a, b in zip(values, values[1:]))
