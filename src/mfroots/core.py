@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import bisect
 import enum
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, List, Optional, Tuple
@@ -96,6 +97,7 @@ class ValueSet:
             if not left.hi < right.lo:
                 raise StructureError(f"components must be strictly increasing: {comps}")
         object.__setattr__(self, "components", comps)
+        object.__setattr__(self, "_los", tuple(c.lo for c in comps))
 
     @classmethod
     def from_intervals(cls, intervals: Iterable[ClosedInterval]) -> "ValueSet":
@@ -147,7 +149,7 @@ class ValueSet:
         return all(c.is_exact for c in self.components)
 
     def contains(self, x: Scalar) -> bool:
-        idx = bisect.bisect_right([c.lo for c in self.components], x) - 1
+        idx = bisect.bisect_right(self._los, x) - 1
         return idx >= 0 and self.components[idx].contains(x)
 
     def singleton_value(self) -> Scalar:
@@ -286,6 +288,10 @@ class Multifunction:
             raise StructureError(
                 f"branches {got} do not tile the jump-free gaps {expected}"
             )
+        # sorted lookup keys, built once: every point query bisects them
+        object.__setattr__(self, "_jump_locs", tuple(locs))
+        object.__setattr__(self, "_branch_los", tuple(u for u, _ in got))
+        object.__setattr__(self, "_branch_his", tuple(v for _, v in got))
 
     @classmethod
     def build(cls, lo, hi, pieces, jumps=()) -> "Multifunction":
@@ -315,7 +321,7 @@ class Multifunction:
 
     @property
     def jump_locations(self) -> Tuple[Scalar, ...]:
-        return tuple(j.location for j in self.jumps)
+        return self._jump_locs
 
     @property
     def includes_left_endpoint(self) -> bool:
@@ -333,7 +339,7 @@ class Multifunction:
                 and all(is_exact(j.location) and j.value.is_exact for j in self.jumps))
 
     def jump_at(self, x: Scalar) -> Optional[JumpPoint]:
-        locs = [j.location for j in self.jumps]
+        locs = self._jump_locs
         i = bisect.bisect_left(locs, x)
         if i < len(locs) and locs[i] == x:
             return self.jumps[i]
@@ -342,8 +348,7 @@ class Multifunction:
     def branch_containing(self, x: Scalar, closure: bool = False) -> Optional[Branch]:
         """Branch whose open core contains x; with closure=True also match
         endpoint inclusion at a/b when no jump sits there."""
-        los = [br.lo for br in self.branches]
-        i = bisect.bisect_right(los, x) - 1
+        i = bisect.bisect_right(self._branch_los, x) - 1
         if i >= 0:
             br = self.branches[i]
             if br.lo < x < br.hi:
@@ -403,17 +408,18 @@ class Multifunction:
         pieces: List[ClosedInterval] = []
         for comp in S.components:
             p, q = comp.lo, comp.hi
-            for jp in self.jumps:
-                if p <= jp.location <= q:
-                    pieces.extend(jp.value.components)
-            for br in self.branches:
+            for jp in self.jumps[bisect.bisect_left(self._jump_locs, p):
+                                 bisect.bisect_right(self._jump_locs, q)]:
+                pieces.extend(jp.value.components)
+            # branches meeting [p, q] in more than an endpoint of theirs:
+            # hi > p and lo < q (for p == q, the branch whose core holds p)
+            for br in self.branches[bisect.bisect_right(self._branch_his, p):
+                                    bisect.bisect_left(self._branch_los, q)]:
                 u = max(br.lo, p)
                 v = min(br.hi, q)
-                interior_point = u == v and br.lo < u < br.hi
-                if u < v or interior_point:
-                    lo_img, hi_img = br.map(u), br.map(v)
-                    pieces.append(ClosedInterval(min(lo_img, hi_img),
-                                                 max(lo_img, hi_img)))
+                lo_img, hi_img = br.map(u), br.map(v)
+                pieces.append(ClosedInterval(min(lo_img, hi_img),
+                                             max(lo_img, hi_img)))
             if p == q and self.jump_at(p) is None:
                 br = self.branch_containing(p, closure=True)
                 if br is not None and not (br.lo < p < br.hi):
@@ -503,11 +509,13 @@ class Multifunction:
         for jp in self.jumps:
             c, V = jp.location, jp.value
             left = right = None
-            for br in self.branches:
-                if br.hi == c:
-                    left = br.limit(c)
-                if br.lo == c:
-                    right = br.limit(c)
+            # the branches tile the gaps between jumps, so branch i opens
+            # at c and branch i - 1 closes there (none at a domain end)
+            i = bisect.bisect_left(self._branch_los, c)
+            if i > 0:
+                left = self.branches[i - 1].limit(c)
+            if i < len(self.branches):
+                right = self.branches[i].limit(c)
             lo_expected = left if inc else right
             hi_expected = right if inc else left
             if lo_expected is not None and not _tol_close(V.min_value, lo_expected, tol):
@@ -560,6 +568,47 @@ class Multifunction:
 # composition and iteration
 # ---------------------------------------------------------------------------
 
+class _Pullback:
+    """``pullback(targets)``: the non-jump points x with F(x) a single
+    point lying in ``targets``.
+
+    The branch images are taken once, sorted by their lower end; each
+    target bisects them and walks down past every image that can still
+    reach it.  Images of a valid multifunction are disjoint, so the walk
+    stops after one step; overlapping images each give their preimage.
+    """
+
+    def __init__(self, F: Multifunction):
+        self.F = F
+        images = []
+        for br in F.branches:
+            ends = (br.map(br.lo), br.map(br.hi))
+            images.append((min(ends), max(ends), br))
+        images.sort(key=lambda im: im[0])
+        self.images = images
+        self.img_los = [im[0] for im in images]
+        self.reach = list(itertools.accumulate((im[1] for im in images), max))
+
+    def __call__(self, targets) -> set:
+        F, images, reach = self.F, self.images, self.reach
+        hits = set()
+        for s in targets:
+            i = bisect.bisect_left(self.img_los, s) - 1
+            while i >= 0 and reach[i] > s:
+                _, img_hi, br = images[i]
+                if s < img_hi:
+                    x = br.map.inverse(s)
+                    if br.lo < x < br.hi:
+                        hits.add(x)
+                i -= 1
+        for endpoint, included, br in (
+                (F.domain.lo, F.includes_left_endpoint, F.branches[0] if F.branches else None),
+                (F.domain.hi, F.includes_right_endpoint, F.branches[-1] if F.branches else None)):
+            if included and br is not None and br.map(endpoint) in targets:
+                hits.add(endpoint)
+        return hits
+
+
 def compose(G: Multifunction, F: Multifunction) -> Multifunction:
     """G∘F with structural jump propagation.
 
@@ -574,21 +623,8 @@ def compose(G: Multifunction, F: Multifunction) -> Multifunction:
             f"range {rng} of inner multifunction escapes {G.domain}")
 
     locations = set(F.jump_locations)
-    for d in G.jump_locations:
-        for br in F.branches:
-            lo_img, hi_img = br.map(br.lo), br.map(br.hi)
-            v_lo, v_hi = min(lo_img, hi_img), max(lo_img, hi_img)
-            if v_lo < d < v_hi:
-                x = br.map.inverse(d)
-                if br.lo < x < br.hi:
-                    locations.add(x)
-            # closed endpoints at the domain ends can hit a jump of G too
-        if F.includes_left_endpoint and F.branches:
-            if F.branches[0].map(F.domain.lo) == d:
-                locations.add(F.domain.lo)
-        if F.includes_right_endpoint and F.branches:
-            if F.branches[-1].map(F.domain.hi) == d:
-                locations.add(F.domain.hi)
+    if G.jumps:
+        locations |= _Pullback(F)(set(G.jump_locations))
 
     jumps = []
     for loc in sorted(locations):

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import json
 import re
-from typing import List
+from typing import List, Tuple
 
 from .builder import RootRecipe
 from .core import (
@@ -43,12 +43,37 @@ def _parse_valueset(text: str, line_no: int) -> ValueSet:
         raise ParseError(line_no, str(exc))
 
 
+def _blame(domain_line: int, domain: ClosedInterval,
+           branches: List[Tuple[int, Branch]],
+           jumps: List[Tuple[int, JumpPoint]]) -> int:
+    """Line of the first piece that the Multifunction constructor's check
+    rejected, taking the checks in the constructor's order; 0 when no one
+    line is at fault (a branch is missing)."""
+    a, b = domain.lo, domain.hi
+    if not a < b:
+        return domain_line
+    outside = [n for n, jp in jumps if not a <= jp.location <= b]
+    if outside:
+        return min(outside)
+    repeated = [n for (_, p), (n, q) in zip(jumps, jumps[1:])
+                if p.location >= q.location]
+    if repeated:
+        return min(repeated)
+    cuts = [a] + [jp.location for _, jp in jumps] + [b]
+    gaps = [(u, v) for u, v in zip(cuts, cuts[1:]) if u < v]
+    for (n, br), gap in zip(branches, gaps):
+        if (br.lo, br.hi) != gap:
+            return n
+    return branches[len(gaps)][0] if len(branches) > len(gaps) else 0
+
+
 def parse_mf(text: str) -> Multifunction:
     """Parse and validate a multifunction description."""
     domain = None
+    domain_line = 0
     orientation = None
-    branches: List[Branch] = []
-    jumps: List[JumpPoint] = []
+    branches: List[Tuple[int, Branch]] = []  # (line number, piece)
+    jumps: List[Tuple[int, JumpPoint]] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -60,6 +85,7 @@ def parse_mf(text: str) -> Multifunction:
                 if len(fields) != 3:
                     raise ParseError(line_no, "domain needs two scalars")
                 domain = ClosedInterval(parse_scalar(fields[1]), parse_scalar(fields[2]))
+                domain_line = line_no
             elif kind == "monotone":
                 if len(fields) != 2 or fields[1] not in ("inc", "dec"):
                     raise ParseError(line_no, "monotone needs inc or dec")
@@ -71,7 +97,7 @@ def parse_mf(text: str) -> Multifunction:
                 slope, intercept = parse_scalar(fields[4]), parse_scalar(fields[5])
                 if slope == 0:
                     raise ParseError(line_no, "branch slope must be nonzero")
-                branches.append(Branch(lo, hi, AffineMap(slope, intercept)))
+                branches.append((line_no, Branch(lo, hi, AffineMap(slope, intercept))))
             elif kind == "jump":
                 if len(fields) < 3:
                     raise ParseError(line_no, "jump syntax: jump <loc> <valueset>")
@@ -79,7 +105,7 @@ def parse_mf(text: str) -> Multifunction:
                 value = _parse_valueset("".join(fields[2:]), line_no)
                 if value.is_singleton:
                     raise ParseError(line_no, "jump value must contain at least two points")
-                jumps.append(JumpPoint(loc, value))
+                jumps.append((line_no, JumpPoint(loc, value)))
             else:
                 raise ParseError(line_no, f"unknown directive {kind!r}")
         except ValueError as exc:
@@ -90,12 +116,13 @@ def parse_mf(text: str) -> Multifunction:
         raise ParseError(0, "missing domain line")
     if orientation is None:
         raise ParseError(0, "missing monotone line")
-    branches.sort(key=lambda br: br.lo)
-    jumps.sort(key=lambda jp: jp.location)
+    branches.sort(key=lambda item: item[1].lo)
+    jumps.sort(key=lambda item: item[1].location)
     try:
-        F = Multifunction(domain, orientation, tuple(branches), tuple(jumps))
+        F = Multifunction(domain, orientation, tuple(br for _, br in branches),
+                          tuple(jp for _, jp in jumps))
     except StructureError as exc:
-        raise ParseError(0, str(exc))
+        raise ParseError(_blame(domain_line, domain, branches, jumps), str(exc))
     report = F.validate()
     if not report.ok:
         raise InvalidMultifunctionError(report)

@@ -10,10 +10,11 @@ invariant one after finitely many steps.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .core import ClosedInterval, Multifunction
+from .core import ClosedInterval, Multifunction, _Pullback
 from .errors import (
     InexactCutError,
     MfError,
@@ -53,24 +54,24 @@ class TransitionTable:
 def transition_table(F: Multifunction) -> TransitionTable:
     """delta with F(I_i) ⊂ I_delta(i); fails with the straddled jump as
     witness, which certifies intensity > 1 on the branch part."""
-    part = partition(F)
+    locs = F.jump_locations
+    los = [br.lo for br in F.branches]
+    his = [br.hi for br in F.branches]
     delta: Dict[int, int] = {}
     for i, br in enumerate(F.branches):
         ends = (br.map(br.lo), br.map(br.hi))
         img_lo, img_hi = min(ends), max(ends)
-        for c in F.jump_locations:
-            if img_lo < c < img_hi:
-                raise NoSingleTargetError(i, c)
-        target = None
-        for j, iv in enumerate(part.intervals):
-            if iv.lo <= img_lo and img_hi <= iv.hi:
-                target = j
-                break
-        if target is None:
+        k = bisect.bisect_right(locs, img_lo)
+        if k < len(locs) and locs[k] < img_hi:
+            raise NoSingleTargetError(i, locs[k])
+        # the first partition interval reaching img_hi holds the image iff
+        # it starts at or below img_lo
+        j = bisect.bisect_left(his, img_hi)
+        if j == len(his) or los[j] > img_lo:
             raise StructureError(
                 f"image ({format_scalar(img_lo)}, {format_scalar(img_hi)}) of "
                 f"interval {i} not contained in any partition interval")
-        delta[i] = target
+        delta[i] = j
     return TransitionTable(delta)
 
 
@@ -85,37 +86,26 @@ class IntensityResult:
         return self.value is None
 
 
-def _pullback_jump_locations(F: Multifunction, targets) -> set:
-    """Non-jump points x with F(x) a singleton lying in ``targets``."""
-    hits = set()
-    for s in targets:
-        for br in F.branches:
-            ends = (br.map(br.lo), br.map(br.hi))
-            if min(ends) < s < max(ends):
-                x = br.map.inverse(s)
-                if br.lo < x < br.hi:
-                    hits.add(x)
-    for endpoint, included, br in (
-            (F.domain.lo, F.includes_left_endpoint, F.branches[0] if F.branches else None),
-            (F.domain.hi, F.includes_right_endpoint, F.branches[-1] if F.branches else None)):
-        if included and br is not None and br.map(endpoint) in targets:
-            hits.add(endpoint)
-    return hits
-
-
 def intensity(F: Multifunction, cap: int = 64) -> IntensityResult:
     """Least k with #J(F^k) = #J(F^{k+1}), via incremental jump pullback
-    (never by recomposition)."""
+    (never by recomposition).
+
+    J(F^{k+1}) = J(F) ∪ F⁻¹(J(F^k)) only grows with k, and the pullback
+    distributes over unions, so each round pulls back just the points the
+    previous round added.
+    """
     current = set(F.jump_locations)  # J(F^1)
     trace: List[int] = [0, len(current)]
     if trace[0] == trace[1]:
         return IntensityResult(0, cap, (0, 0))
+    pullback = _Pullback(F)
+    frontier = current
     for k in range(1, cap + 1):
-        nxt = set(F.jump_locations) | _pullback_jump_locations(F, current)
-        trace.append(len(nxt))
-        if len(nxt) == len(current):
+        frontier = pullback(frontier) - current
+        trace.append(len(current) + len(frontier))
+        if not frontier:
             return IntensityResult(k, cap, tuple(trace))
-        current = nxt
+        current |= frontier
     return IntensityResult(None, cap, tuple(trace))
 
 
@@ -328,7 +318,10 @@ def classify_jump(F: Multifunction, c: Scalar) -> JumpClass:
     jp = F.jump_at(c)
     if jp is None:
         raise NotAJumpError(f"{format_scalar(c)} is not a jump")
-    hit = tuple(d for d in F.jump_locations if jp.value.contains(d))
+    locs = F.jump_locations
+    hit = tuple(d for comp in jp.value.components
+                for d in locs[bisect.bisect_left(locs, comp.lo):
+                              bisect.bisect_right(locs, comp.hi)])
     self_hit = c in hit
     others = tuple(d for d in hit if d != c)
     if not hit:

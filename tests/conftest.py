@@ -282,6 +282,21 @@ def random_dec_selfpair_target(rng: random.Random) -> Multifunction:
     raise AssertionError("could not generate a decreasing self-pair target")
 
 
+def staircase(count: int) -> Multifunction:
+    """Increasing multifunction on [0, 1] with ``count`` interior jumps:
+    with N = count + 1 and eps = 1/(4N²), branch i on (i/N, (i+1)/N) is
+    x/2 + i·eps and the jump at i/N bridges its neighbours' limits.  Its
+    jump set grows for about log2(count) rounds under iteration."""
+    N = count + 1
+    eps = Fraction(1, 4 * N * N)
+    pieces = [(Fraction(i, N), Fraction(i + 1, N), Fraction(1, 2), i * eps)
+              for i in range(N)]
+    jumps = [(Fraction(i, N), (Fraction(i, 2 * N) + (i - 1) * eps,
+                               Fraction(i, 2 * N) + i * eps))
+             for i in range(1, N)]
+    return Multifunction.build(0, 1, pieces, jumps)
+
+
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20240817)

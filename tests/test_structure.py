@@ -24,6 +24,7 @@ from conftest import (
     random_direct_routed,
     random_with_intensity,
     square_target,
+    staircase,
 )
 
 
@@ -247,3 +248,20 @@ class TestIntensityLaws:
                     break
                 assert j not in seen
                 seen.append(j)
+
+
+class TestStaircaseScale:
+    """Jump counts in the thousands: these finish in about a second only
+    while each intensity round stays near-linear in the jump count."""
+
+    def test_intensity_at_400_jumps(self):
+        z = mf.intensity(staircase(400))
+        assert z.value == 9
+        assert z.trace == (0, 400, 600, 700, 750, 775, 787, 793, 796, 797, 797)
+
+    def test_analyze_at_3000_jumps(self, tmp_path):
+        from mfroots.cli import main
+        from mfroots.io import save_mf
+        path = tmp_path / "staircase.mf"
+        save_mf(staircase(3000), path)
+        assert main(["analyze", str(path)]) == 0
