@@ -11,6 +11,8 @@ conjugacy; decreasing targets of odd order run through the square.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple, Union
@@ -24,6 +26,7 @@ from .core import (
     ValueSet,
     equivalent,
     iterate,
+    prove_equivalent,
 )
 from .errors import (
     ConditionJStarViolatedError,
@@ -31,16 +34,20 @@ from .errors import (
     IncompatiblePatternError,
     InvalidMultifunctionError,
     MfError,
+    NoExactProofError,
     NonCompactJumpValueError,
     NotDecreasingError,
     NotIncreasingError,
+    RootConstructionError,
     UnsupportedCaseError,
 )
 from .maps import AffineMap, DEC, INC, compose_maps, iterate_map
 from .scalar_roots import (
     DEFAULT_SEED,
     ScalarRootSeed,
+    _decreasing_odd_root,
     _increasing_root_auto,
+    _odd_swap_maps,
     decreasing_odd_root,
     decreasing_square_root_pair,
     odd_swap_maps,
@@ -132,9 +139,22 @@ BuildOutcome = Union[RootArtifact, Certificate]
 
 def verify_root(f: Multifunction, F: Multifunction, n: int,
                 cfg: EquivalenceConfig = EquivalenceConfig()) -> VerificationReport:
-    """Check fⁿ = F in the identity sense (set-image composition)."""
+    """Check fⁿ = F in the identity sense (set-image composition).
+
+    Exact inputs compare structurally.  Otherwise fⁿ = F is proved or
+    disproved in exact arithmetic through the witnesses of f's lazy maps
+    (``core.prove_equivalent``); only when some map has none, as for
+    float-backed roots, does the check fall back to the grid, and the
+    report's detail names that map."""
     fn = iterate(f, n)
-    eq = equivalent(fn, F, cfg)
+    if fn.is_exact and F.is_exact:
+        eq = equivalent(fn, F, cfg)
+    else:
+        try:
+            eq = prove_equivalent(fn, F)
+        except NoExactProofError as exc:
+            eq = equivalent(fn, F, cfg)
+            eq = dataclasses.replace(eq, reason=f"{eq.reason} ({exc})")
     return VerificationReport(eq.equal, eq.exact, eq.max_deviation,
                               eq.worst_point, eq.reason)
 
@@ -452,6 +472,31 @@ def _realize_decreasing(F: Multifunction, root_maps: Dict[int, object],
     return Multifunction(F.domain, DEC, root_branches, tuple(root_jumps))
 
 
+def _end_orbit_hit(F: Multifunction, f: Multifunction, n: int):
+    """(a, j, x) for a domain end a where F has no jump but the j-th image
+    x = f^j(a), 0 < j < n, is a jump of f, so that fⁿ jumps at a; else None."""
+    for a in (F.domain.lo, F.domain.hi):
+        if F.jump_at(a) is not None:
+            continue
+        x = a
+        for j in range(1, n):
+            x = f(x).singleton_value()
+            if f.jump_at(x) is not None:
+                return a, j, x
+    return None
+
+
+def _end_orbit_certificate(n, a, j, x) -> Certificate:
+    return Certificate(
+        "EndpointInfeasible",
+        claim=("an image of a domain endpoint under the constructed root lands "
+               "exactly on a jump, which would create a jump of the iterate at "
+               "the endpoint; the construction with this seed fails"),
+        inputs={"order": str(n)},
+        witnesses={"endpoint": a, "image": x, "power": j},
+    )
+
+
 # ---------------------------------------------------------------------------
 # decreasing square roots of increasing targets
 # ---------------------------------------------------------------------------
@@ -520,6 +565,9 @@ def build_decreasing_square_root(F: Multifunction,
         root_maps[i] = compose_maps(root_maps[i1].inverse_map(), branches[i].map)
 
     realized = _realize_decreasing(F, root_maps, 2)
+    hit = _end_orbit_hit(F, realized, 2)
+    if hit is not None:
+        return _end_orbit_certificate(2, *hit)
     return _finish(F, realized, 2, cfg, "dec_square", "dec", {
         "seed": _seed_to_payload(seed if seed is not DEFAULT_SEED else None),
         "pairing": [[i, j] for i, j in pairing],
@@ -583,38 +631,57 @@ def build_decreasing_odd_root(F: Multifunction, k: int,
         else:
             hulls[t] = (lo_v, hi_v)
 
-    root_maps: Dict[int, object] = {}
-    squares: Dict[int, object] = {}
-    done = set()
-    for i in lam2:
-        if i in done:
-            continue
-        j = table_F.delta[i]
-        if i == j:
-            bi = branches[i]
-            root_maps[i] = decreasing_odd_root(bi.map, bi.lo, bi.hi, k, seed,
-                                               cover=hulls.get(i))
-            squares[i] = compose_maps(root_maps[i], root_maps[i])
-            done.add(i)
-        else:
-            A, Bi = branches[i], branches[j]
-            map_i, map_j, phi = odd_swap_maps(A.map, A.lo, A.hi,
+    def construct(closed_form):
+        odd_root, swap_maps = decreasing_odd_root, odd_swap_maps
+        if not closed_form:
+            odd_root = functools.partial(_decreasing_odd_root, closed_form=False)
+            swap_maps = functools.partial(_odd_swap_maps, closed_form=False)
+        root_maps: Dict[int, object] = {}
+        squares: Dict[int, object] = {}
+        done = set()
+        for i in lam2:
+            if i in done:
+                continue
+            j = table_F.delta[i]
+            if i == j:
+                bi = branches[i]
+                root_maps[i] = odd_root(bi.map, bi.lo, bi.hi, k, seed,
+                                        cover=hulls.get(i))
+                squares[i] = compose_maps(root_maps[i], root_maps[i])
+                done.add(i)
+            else:
+                A, Bi = branches[i], branches[j]
+                map_i, map_j, phi = swap_maps(A.map, A.lo, A.hi,
                                               Bi.map, Bi.lo, Bi.hi, k, seed,
                                               cover_alpha=hulls.get(i),
                                               cover_beta=hulls.get(j))
-            root_maps[i], root_maps[j] = map_i, map_j
-            squares[i] = compose_maps(map_j, map_i)
-            squares[j] = compose_maps(map_i, map_j)
-            done.update((i, j))
+                root_maps[i], root_maps[j] = map_i, map_j
+                squares[i] = compose_maps(map_j, map_i)
+                squares[j] = compose_maps(map_i, map_j)
+                done.update((i, j))
 
-    for i in range(len(branches)):
-        if i in root_maps:
-            continue
-        t = table_F.delta[i]
-        root_maps[i] = compose_maps(iterate_map(squares[t], m).inverse_map(),
-                                    branches[i].map)
+        for i in range(len(branches)):
+            if i in root_maps:
+                continue
+            t = table_F.delta[i]
+            root_maps[i] = compose_maps(iterate_map(squares[t], m).inverse_map(),
+                                        branches[i].map)
+        return root_maps
 
+    root_maps = construct(closed_form=True)
     realized = _realize_decreasing(F, root_maps, k)
+    hit = _end_orbit_hit(F, realized, k)
+    if hit is not None:
+        # a closed form sent a domain end onto a jump; the orbit engine
+        # pins the end's image strictly inside instead
+        try:
+            root_maps = construct(closed_form=False)
+            realized = _realize_decreasing(F, root_maps, k)
+        except RootConstructionError:
+            return _end_orbit_certificate(k, *hit)
+        hit = _end_orbit_hit(F, realized, k)
+        if hit is not None:
+            return _end_orbit_certificate(k, *hit)
     return _finish(F, realized, k, cfg, "dec_odd", "dec", {
         "seed": _seed_to_payload(seed if seed is not DEFAULT_SEED else None),
         "maps": {str(i): _map_recipe(mp) for i, mp in sorted(root_maps.items())},
@@ -736,6 +803,10 @@ def recheck_certificate(cert: Certificate, F: Multifunction,
                 return True
         return False
     if rule == "EndpointInfeasible":
+        if "power" in w:  # an end's orbit under a decreasing root
+            return (w["image"] in F.jump_locations and 0 < w["power"] < int(cert.inputs["order"])
+                    and w["endpoint"] in (F.domain.lo, F.domain.hi)
+                    and F.jump_at(w["endpoint"]) is None)
         return w["image"] in F.jump_locations and w["endpoint"] == F.domain.hi
     raise MfError(f"unknown certificate rule {rule}")
 

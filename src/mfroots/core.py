@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import bisect
 import enum
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,6 +20,9 @@ from typing import Iterable, List, Optional, Tuple
 
 from .errors import (
     DomainMismatchError,
+    EvaluationRangeError,
+    MfError,
+    NoExactProofError,
     NoSuchSideError,
     OutOfDomainError,
     RangeEscapeError,
@@ -26,6 +30,7 @@ from .errors import (
 )
 from .maps import (
     AffineMap,
+    Guard,
     INC,
     MonotoneMap,
     Orientation,
@@ -383,15 +388,17 @@ class Multifunction:
         if side is LEFT:
             if x == self.domain.lo:
                 raise NoSuchSideError("no left limit at the left endpoint")
-            for br in self.branches:
-                if br.lo < x <= br.hi:
-                    return br.limit(x)
+            # the first branch ending at or after x, if it starts before x
+            i = bisect.bisect_left(self._branch_his, x)
+            if i < len(self.branches) and self.branches[i].lo < x:
+                return self.branches[i].limit(x)
         else:
             if x == self.domain.hi:
                 raise NoSuchSideError("no right limit at the right endpoint")
-            for br in self.branches:
-                if br.lo <= x < br.hi:
-                    return br.limit(x)
+            # the last branch starting at or before x, if it ends after x
+            i = bisect.bisect_right(self._branch_los, x) - 1
+            if i >= 0 and x < self.branches[i].hi:
+                return self.branches[i].limit(x)
         raise StructureError(f"no adjacent branch at {format_scalar(x)}")
 
     def image(self, S: ValueSet) -> ValueSet:
@@ -702,6 +709,12 @@ def _match_jumps(F, G, tol):
     return True, ""
 
 
+@functools.lru_cache(maxsize=8)
+def _grid_offsets(grid: int) -> Tuple[Fraction, ...]:
+    """Relative positions of the grid points: cell midpoints of [0, 1]."""
+    return tuple(Fraction(2 * i + 1, 2 * grid) for i in range(grid))
+
+
 def equivalent(F: Multifunction, G: Multifunction,
                cfg: EquivalenceConfig = EquivalenceConfig()) -> EquivalenceReport:
     """Exact structural equality when both sides are exact, grid comparison
@@ -728,18 +741,19 @@ def equivalent(F: Multifunction, G: Multifunction,
     if not ok:
         return EquivalenceReport(False, False, float("inf"), None, why)
 
-    boundary = sorted(set(F.jump_locations) | set(G.jump_locations)
-                      | {F.domain.lo, F.domain.hi})
+    jumps = set(F.jump_locations) | set(G.jump_locations)
+    boundary = sorted(jumps | {F.domain.lo, F.domain.hi})
+    tol = cfg.tol
     max_dev, worst = 0.0, None
     for u, v in zip(boundary, boundary[1:]):
         if not u < v:
             continue
         width = v - u
-        for i in range(cfg.grid):
-            x = u + width * Fraction(2 * i + 1, 2 * cfg.grid)
-            near_jump = any(abs(x - c) <= cfg.tol
-                            for c in (*F.jump_locations, *G.jump_locations))
-            if near_jump:
+        # every jump is a boundary, so only u and v can be the jump near x
+        u_jump, v_jump = u in jumps, v in jumps
+        for t in _grid_offsets(cfg.grid):
+            x = u + width * t
+            if (u_jump and abs(x - u) <= tol) or (v_jump and abs(x - v) <= tol):
                 continue
             fv, gv = F(x), G(x)
             if not (fv.is_singleton and gv.is_singleton):
@@ -751,3 +765,163 @@ def equivalent(F: Multifunction, G: Multifunction,
     equal = max_dev <= cfg.tol
     reason = "grid comparison" if equal else "branch deviation exceeds tolerance"
     return EquivalenceReport(equal, False, max_dev, worst, reason)
+
+
+# ---------------------------------------------------------------------------
+# exact proof of equality through map witnesses
+# ---------------------------------------------------------------------------
+
+# halvings of a fundamental domain's outer end before its neighbourhood
+# gives up on fitting inside the glue pieces of the maps
+_MAX_HALVINGS = 64
+
+
+def _as_affine(m) -> AffineMap:
+    return m if isinstance(m, AffineMap) else compose_maps(*m.maps)
+
+
+def _guards_hold(items, e, x0) -> bool:
+    """Whether the image of the neighbourhood between e and x0 stays inside
+    one piece of every glued map the germ passes."""
+    z, x = e, x0
+    for it in items:
+        if isinstance(it, Guard):
+            lo, hi = min(z, x), max(z, x)
+            if any(lo < k < hi for k in it.knots):
+                return False
+        else:
+            z, x = it(z), it(x)
+    return True
+
+
+def _reduce_at(W, e, side, x0):
+    """Where the check of W = A near a point e of accumulating pieces may
+    stop: g0(x0') for a generator g0 attracting to e and an x0' between e
+    and x0, or e itself when no pieces accumulate on this side.
+
+    Along W's germ at e, each orbit map must sit at its attracting point
+    and take the generator the previous maps hand on (an affine map a
+    hands on a∘g∘a⁻¹); then W∘g0 = g'∘W near e, and g' fixes W(e).  Every
+    point of the neighbourhood is a g0-iterate of a point of the
+    fundamental domain [g0(x0'), x0'], so W = A there and at e gives
+    W = A on all of it once A∘g0 = g'∘A.  That needs no check of its own:
+    g' and A∘g0∘A⁻¹ are affine maps that both fix A(e) = W(e) and both
+    send A(x0') = W(x0') to A(g0(x0')) = W(g0(x0')), so they are equal."""
+    items = W.germ(e, side)
+    prefix, g0, g = AffineMap(Fraction(1), Fraction(0)), None, None
+    z = e
+    for it in items:
+        if isinstance(it, Guard):
+            continue
+        if isinstance(it, AffineMap):
+            if g is None:
+                prefix = compose_maps(it, prefix)
+            else:
+                g = compose_maps(it, g, it.inverse_map())
+        else:
+            gens = it.generators(z)
+            if gens is None:
+                raise NoExactProofError(
+                    f"{it!r} is used near {format_scalar(z)}, away from its attracting point")
+            if g is None:
+                g0 = compose_maps(prefix.inverse_map(), gens[0], prefix)
+            elif g != gens[0]:
+                raise NoExactProofError(f"{it!r}: its generator {gens[0]!r} does not "
+                                        f"match the one handed on, {g!r}")
+            g = gens[1]
+        z = it(z)
+    if g is None:
+        return e
+    for _ in range(_MAX_HALVINGS):
+        if _guards_hold(items, e, x0):
+            return g0(x0)
+        x0 = (e + x0) / 2
+    raise NoExactProofError(f"no neighbourhood of {format_scalar(e)} fits the glue pieces")
+
+
+def _prove_branch(W, A: AffineMap, u, v, limits):
+    """(pieces, x): W = A on [u, v] is proved over ``pieces`` affine
+    pieces, and x is None, or x is a point where they differ; ``limits``
+    are the points of [u, v] where W's pieces accumulate."""
+    cells = sorted({u, v, *limits})
+    spans = []
+    for a, b in zip(cells, cells[1:]):
+        if a in limits and b in limits:
+            mid = (a + b) / 2
+            spans.append((_reduce_at(W, a, 1, mid), _reduce_at(W, b, -1, mid)))
+        else:
+            spans.append((_reduce_at(W, a, 1, b) if a in limits else a,
+                          _reduce_at(W, b, -1, a) if b in limits else b))
+    points = set(cells)
+    pieces = 0
+    for lo, hi in spans:
+        ends = (lo, *W.breaks(lo, hi), hi)
+        for p, q in zip(ends, ends[1:]):
+            # W is affine inside (p, q): two inner points settle it there,
+            # whether or not W is continuous at p and q
+            third = (q - p) / 3
+            points.update((p, p + third, q - third))
+            pieces += 1
+        points.add(hi)
+    for x in sorted(points):
+        w = W(x)
+        if not is_exact(w):
+            raise NoExactProofError(f"{W!r} gives the inexact value {w!r}")
+        if w != A(x):
+            return pieces, x
+    return pieces, None
+
+
+def prove_equivalent(F: Multifunction, G: Multifunction) -> EquivalenceReport:
+    """Exact proof, or exact disproof, that F = G for an exact G.
+
+    Jumps compare exactly.  On each branch, F's map W reports its pieces
+    (see ``maps``): near each point where they accumulate, equivariance
+    reduces W = A to one fundamental domain, and the rest splits into
+    finitely many affine pieces, each compared with G's affine map A at
+    its ends and at two inner points.  Raises ``NoExactProofError`` naming
+    the map when some map carries no witness or a witness does not fit."""
+    if F.domain != G.domain:
+        raise DomainMismatchError(f"{F.domain} vs {G.domain}")
+    if F.orientation is not G.orientation:
+        return EquivalenceReport(False, True, float("inf"), None, "orientations differ")
+    if not G.is_exact:
+        raise NoExactProofError("the target is not exact")
+    try:
+        # asks every map for its witness first, so that a missing one is
+        # named before its inexact values show up in the jumps
+        limits = [bf.map.limits(bf.lo, bf.hi) for bf in F.branches]
+    except NoExactProofError:
+        raise
+    except MfError as exc:
+        raise NoExactProofError(f"evaluation failed: {exc}") from exc
+    if not all(is_exact(jp.location) and jp.value.is_exact for jp in F.jumps):
+        raise NoExactProofError("the jump data are inexact")
+    if F.jumps != G.jumps:
+        ok, why = _match_jumps(F, G, 0.0)
+        return EquivalenceReport(False, True, float("inf"), None,
+                                 why or "jump sets differ")
+    total = 0
+    for bf, bg, lims in zip(F.branches, G.branches, limits):
+        A = _as_affine(bg.map)
+        try:
+            pieces, x = _prove_branch(bf.map, A, bf.lo, bf.hi, lims)
+        except EvaluationRangeError as exc:
+            # every evaluation is at a point of the branch or at its image
+            # under the maps applied so far: F is undefined there, G is not
+            return EquivalenceReport(
+                False, True, float("inf"), None,
+                f"branch map on ({format_scalar(bf.lo)}, {format_scalar(bf.hi)}) "
+                f"is not defined everywhere: {exc}")
+        except NoExactProofError:
+            raise
+        except MfError as exc:
+            raise NoExactProofError(f"evaluation failed: {exc}") from exc
+        if x is not None:
+            return EquivalenceReport(
+                False, True, abs(float(bf.map(x) - A(x))), x,
+                f"branch maps differ at {format_scalar(x)} on "
+                f"({format_scalar(bf.lo)}, {format_scalar(bf.hi)})")
+        total += pieces
+    return EquivalenceReport(True, True, 0.0, None,
+                             f"exact proof over {total} affine pieces")

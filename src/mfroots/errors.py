@@ -133,3 +133,10 @@ class UnsupportedCaseError(RootConstructionError):
 class EvaluationRangeError(RootConstructionError):
     """A lazily constructed map was evaluated (or inverted) outside the
     region its orbit extension covers."""
+
+
+class NoExactProofError(MfError):
+    """An equality could not be proved in exact arithmetic: a map carries
+    no witness (it is float-backed or opaque), or a witness does not fit
+    where it is used.  The reason names the map; callers fall back to a
+    grid comparison."""

@@ -4,16 +4,29 @@ Two kinds: exact affine maps over rationals, and generic lazily-evaluated
 maps (products of root/conjugacy constructions, compositions, reflections).
 Every map answers forward evaluation, inverse evaluation and orientation;
 generic maps additionally promise pure evaluation (same input, same output).
+
+Maps also report their pieces, for exact proofs of equalities:
+``breaks(lo, hi)`` lists the points of (lo, hi) between which the map is
+affine, ``limits(lo, hi)`` the points of [lo, hi] where such points
+accumulate, and ``germ(z, side)`` the chain of primitive maps the map
+equals just above (side 1) or just below (side -1) z.  A primitive is an
+``AffineMap`` or an orbit witness (a lazy map that commutes with affine
+generators, see ``scalar_roots``); ``Guard`` items in a germ hold the
+knots that the image of the neighbourhood must not cross.  Affine,
+composed and glued maps answer from their structure; a generic map
+answers through the witness its constructor attached, and raises
+``NoExactProofError`` naming the map when it has none.
 """
 
 from __future__ import annotations
 
+import bisect
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Tuple
 
-from .errors import StructureError
+from .errors import NoExactProofError, StructureError
 from .scalars import Scalar, format_scalar, is_exact
 
 
@@ -69,8 +82,34 @@ class AffineMap:
             return None
         return self.intercept / (1 - self.slope)
 
+    def breaks(self, lo, hi) -> tuple:
+        return ()
+
+    def limits(self, lo, hi) -> tuple:
+        return ()
+
+    def germ(self, z, side) -> list:
+        return [self]
+
     def __repr__(self):
         return f"AffineMap({format_scalar(self.slope)}·x + {format_scalar(self.intercept)})"
+
+
+@dataclass(frozen=True)
+class Guard:
+    """Germ item: the image of the neighbourhood at this point of the
+    chain must not have any of these knots strictly inside."""
+
+    knots: Tuple
+
+
+def _unwitnessed(recipe) -> str:
+    while recipe and recipe[0] == "inverse":
+        recipe = recipe[1]
+    kind = recipe[0] if recipe else "opaque map"
+    if kind.startswith("affine_real_"):
+        return f"irrational slope root of slope {recipe[1]} ({kind})"
+    return f"no exact witness for {kind}"
 
 
 @dataclass(frozen=True)
@@ -86,6 +125,9 @@ class GenericMap:
     forward: Callable[[Scalar], Scalar]
     backward: Callable[[Scalar], Scalar]
     recipe: Tuple = ()
+    # answers breaks/limits/germ for ``forward``; None when no exact
+    # description exists (float-backed and opaque maps)
+    witness: object = field(default=None, compare=False, repr=False)
 
     @property
     def is_exact(self) -> bool:
@@ -99,7 +141,22 @@ class GenericMap:
 
     def inverse_map(self) -> "GenericMap":
         return GenericMap(self.orientation, self.backward, self.forward,
-                          ("inverse", self.recipe))
+                          ("inverse", self.recipe),
+                          None if self.witness is None else self.witness.inverse_map())
+
+    def _witnessed(self):
+        if self.witness is None:
+            raise NoExactProofError(_unwitnessed(self.recipe))
+        return self.witness
+
+    def breaks(self, lo, hi) -> tuple:
+        return self._witnessed().breaks(lo, hi)
+
+    def limits(self, lo, hi) -> tuple:
+        return self._witnessed().limits(lo, hi)
+
+    def germ(self, z, side) -> list:
+        return self._witnessed().germ(z, side)
 
     def __repr__(self):
         kind = self.recipe[0] if self.recipe else "opaque"
@@ -111,9 +168,10 @@ MonotoneMap = object  # duck type: AffineMap | GenericMap | ComposedMap | GluedM
 
 class GluedMap:
     """Continuous strictly monotone map glued from pieces at interior
-    knots; the adjacent pieces must agree at each knot."""
+    knots; the adjacent pieces must agree at each knot.  ``value_knots``,
+    the images of the knots, are evaluated when not given."""
 
-    def __init__(self, knots, pieces):
+    def __init__(self, knots, pieces, value_knots=None):
         assert len(pieces) == len(knots) + 1
         flat_knots: list = []
         flat_pieces: list = []
@@ -128,8 +186,9 @@ class GluedMap:
         self.knots = tuple(flat_knots)
         self.pieces = tuple(flat_pieces)
         self.orientation = self.pieces[0].orientation
-        self.value_knots = tuple(piece(k)
-                                 for k, piece in zip(self.knots, self.pieces))
+        if value_knots is None:
+            value_knots = tuple(piece(k) for k, piece in zip(self.knots, self.pieces))
+        self.value_knots = tuple(value_knots)
 
     @property
     def is_exact(self) -> bool:
@@ -155,9 +214,32 @@ class GluedMap:
     def inverse_map(self) -> "GluedMap":
         inv_pieces = tuple(p.inverse_map() for p in self.pieces)
         if self.orientation is INC:
-            return GluedMap(self.value_knots, inv_pieces)
+            return GluedMap(self.value_knots, inv_pieces, self.knots)
         return GluedMap(tuple(reversed(self.value_knots)),
-                        tuple(reversed(inv_pieces)))
+                        tuple(reversed(inv_pieces)), tuple(reversed(self.knots)))
+
+    def _spans(self, lo, hi):
+        """(piece, a, b): each piece with the part [a, b] of [lo, hi] it covers."""
+        ends = (None, *self.knots, None)
+        for i, piece in enumerate(self.pieces):
+            a = lo if ends[i] is None else max(lo, ends[i])
+            b = hi if ends[i + 1] is None else min(hi, ends[i + 1])
+            if a < b:
+                yield piece, a, b
+
+    def breaks(self, lo, hi) -> tuple:
+        pts = [k for k in self.knots if lo < k < hi]
+        for piece, a, b in self._spans(lo, hi):
+            pts.extend(piece.breaks(a, b))
+        return tuple(sorted(pts))
+
+    def limits(self, lo, hi) -> tuple:
+        return tuple(sorted({e for piece, a, b in self._spans(lo, hi)
+                             for e in piece.limits(a, b)}))
+
+    def germ(self, z, side) -> list:
+        i = (bisect.bisect_right if side > 0 else bisect.bisect_left)(self.knots, z)
+        return [Guard(self.knots), *self.pieces[i].germ(z, side)]
 
     def __repr__(self):
         return f"GluedMap({len(self.pieces)} pieces)"
@@ -192,6 +274,63 @@ class ComposedMap:
 
     def inverse_map(self):
         return ComposedMap(tuple(m.inverse_map() for m in reversed(self.maps)))
+
+    def breaks(self, lo, hi) -> tuple:
+        """Carried forward map by map: the chain applied so far is affine
+        on each open segment between the cuts found so far, so the next
+        map's breaks on a segment's image pull back by solving that affine
+        map, and two inner points give the next affine map.  Only forward
+        evaluations are used, and no continuity at the cuts is assumed."""
+        segments = [(lo, hi, Fraction(1), Fraction(0))]  # x ↦ a·x + b on (p, q)
+        for m in reversed(self.maps):
+            if isinstance(m, AffineMap):
+                segments = [(p, q, m.slope * a, m.slope * b + m.intercept)
+                            for p, q, a, b in segments]
+                continue
+            split = []
+            for p, q, a, b in segments:
+                ends = (a * p + b, a * q + b)
+                cuts = [(y - b) / a for y in m.breaks(min(ends), max(ends))]
+                pts = [p, *sorted(cuts), q]
+                for p2, q2 in zip(pts, pts[1:]):
+                    t1, t2 = p2 + (q2 - p2) / 3, q2 - (q2 - p2) / 3
+                    z1, z2 = m(a * t1 + b), m(a * t2 + b)
+                    a2 = (z2 - z1) / (t2 - t1)
+                    split.append((p2, q2, a2, z1 - a2 * t1))
+            segments = split
+        return tuple(p for p, _, _, _ in segments[1:])
+
+    def limits(self, lo, hi) -> tuple:
+        """Each map's accumulation points on the image of [lo, hi] that
+        reaches it, pulled back through the inverses and checked going
+        forward, so a point comes back only if it truly maps there."""
+        found = set()
+        inner: list = []  # maps already applied, innermost first
+        for m in reversed(self.maps):
+            for e in m.limits(lo, hi):
+                x = e
+                for a in reversed(inner):
+                    x = a.inverse(x)
+                y = x
+                for a in inner:
+                    y = a(y)
+                if y != e:
+                    raise NoExactProofError(
+                        f"{m!r}: an accumulation point does not pull back through the chain")
+                found.add(x)
+            ends = (m(lo), m(hi))
+            lo, hi = min(ends), max(ends)
+            inner.append(m)
+        return tuple(sorted(found))
+
+    def germ(self, z, side) -> list:
+        items: list = []
+        for m in reversed(self.maps):
+            items.extend(m.germ(z, side))
+            z = m(z)
+            if m.orientation is DEC:
+                side = -side
+        return items
 
     def __repr__(self):
         return "ComposedMap[" + " ∘ ".join(repr(m) for m in self.maps) + "]"

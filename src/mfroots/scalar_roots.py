@@ -10,6 +10,13 @@ fundamental domain costs a number of exact operations logarithmic in k
 when the orbit's generator is an exact affine map (g^k(x) = p + s^k (x - p)
 in closed form), and k single steps for generic generators and float
 points.
+
+Each lazy map built over exact affine data carries a witness
+(``_OrbitWitness``, or a ``GluedMap`` for glued maps) that lets
+``core.prove_equivalent`` check identities exactly: the map commutes with
+its generators, f∘g_in = g_out∘f, it fixes the structure at the attracting
+point of g_in, and it is affine between the orbit images of its knots.
+The witness reads the same seed data the evaluation uses.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ from .errors import (
     HasInteriorFixedPointError,
     IncompatiblePatternError,
     MfError,
+    NoExactProofError,
     WrongSideError,
 )
 from .maps import (
@@ -33,6 +41,7 @@ from .maps import (
     DEC,
     INC,
     GenericMap,
+    GluedMap,
     Orientation,
     compose_maps,
     iterate_map,
@@ -315,6 +324,78 @@ def _orbit_power(dom: _Domain, z, k):
     return z
 
 
+def _orbit_points(dom: _Domain, knots, lo, hi):
+    """The points of the orbits of knots under dom's map strictly inside
+    (lo, hi); [lo, hi] lies in the basin of the attracting point."""
+    k_lo, k_hi = sorted((_orbit_land(dom, lo)[1], _orbit_land(dom, hi)[1]))
+    out = set()
+    for t in knots:
+        y = _orbit_land(dom, t)[0]
+        for k in range(k_lo, k_hi + 1):
+            x = _orbit_power(dom, y, -k)
+            if lo < x < hi:
+                out.add(x)
+    return sorted(out)
+
+
+def _exact_generator(g, fixed) -> bool:
+    """g is an exact affine map with slope in (0, 1) fixing ``fixed``."""
+    return (isinstance(g, AffineMap) and 0 < g.slope < 1
+            and is_exact(fixed) and g(fixed) == fixed)
+
+
+class _OrbitWitness:
+    """Witness of one evaluation direction of a lazy orbit map f.
+
+    f∘g_in = g_out∘f holds wherever f is evaluated, because f lands its
+    argument in a fundamental domain along the orbit of g_in and carries
+    the result back along g_out; f sends the attracting point ``fixed`` of
+    g_in to that of g_out; and ``knot_breaks(lo, hi)`` lists the points of
+    (lo, hi) between which f is affine, for [lo, hi] away from ``fixed``.
+    ``partner`` is the witness of the inverse direction."""
+
+    def __init__(self, name, fn, orientation, fixed, g_in, g_out, knot_breaks):
+        self.name, self.fn, self.orientation = name, fn, orientation
+        self.fixed, self.g_in, self.g_out = fixed, g_in, g_out
+        self.knot_breaks = knot_breaks
+        self.partner = None
+
+    def __call__(self, x):
+        return self.fn(x)
+
+    def breaks(self, lo, hi) -> tuple:
+        if lo <= self.fixed <= hi:
+            raise NoExactProofError(
+                f"{self.name}: pieces accumulate at {format_scalar(self.fixed)}")
+        return tuple(self.knot_breaks(lo, hi))
+
+    def limits(self, lo, hi) -> tuple:
+        return (self.fixed,) if lo <= self.fixed <= hi else ()
+
+    def germ(self, z, side) -> list:
+        return [self]
+
+    def generators(self, z):
+        """(g_in, g_out) when z is the attracting point, else None."""
+        return (self.g_in, self.g_out) if z == self.fixed else None
+
+    def inverse_map(self):
+        return self.partner
+
+    def __repr__(self):
+        return f"{self.name} witness"
+
+
+def _witness_pair(name, orientation, forward, inverse, fixed_in, fixed_out,
+                  g_in, g_out, forward_breaks, inverse_breaks) -> _OrbitWitness:
+    fwd = _OrbitWitness(name, forward, orientation, fixed_in, g_in, g_out,
+                        forward_breaks)
+    inv = _OrbitWitness(f"inverse {name}", inverse, orientation, fixed_out,
+                        g_out, g_in, inverse_breaks)
+    fwd.partner, inv.partner = inv, fwd
+    return fwd
+
+
 def _in_range(x, lo, hi):
     """x itself when it lies in [lo, hi]; orbit maps never extrapolate."""
     if not lo <= x <= hi:
@@ -403,10 +484,30 @@ class OrbitRoot:
                 f"{format_scalar(w)} has no root preimage inside the interval")
         return x
 
+    def _forward_breaks(self, lo, hi):
+        # the seed's piece ends and the anchor, carried along the orbit
+        return _orbit_points(self.outer, (*self.seed.los, self.seed.top), lo, hi)
+
+    def _inverse_breaks(self, lo, hi):
+        # the ends of the seed pieces' images, carried along the orbit
+        ends = {m(x) for a, b, m in self.seed.pieces for x in (a, b)}
+        return _orbit_points(self.inner, (self.t1, *ends), lo, hi)
+
+    def _exact(self) -> bool:
+        knots = (self.u, self.x0, *self.divs)
+        return _exact_generator(self.g, self.u) and all(map(is_exact, knots))
+
+    def witness(self):
+        if not self._exact():
+            return None
+        return _witness_pair("orbit root", INC, self.forward, self.inverse,
+                             self.u, self.u, self.g, self.g,
+                             self._forward_breaks, self._inverse_breaks)
+
     def as_map(self) -> GenericMap:
         recipe = ("orbit_root", self.n, format_scalar(self.x0),
                   tuple(format_scalar(d) for d in self.divs))
-        return GenericMap(INC, self.forward, self.inverse, recipe)
+        return GenericMap(INC, self.forward, self.inverse, recipe, self.witness())
 
 
 class _MirroredRoot:
@@ -421,9 +522,23 @@ class _MirroredRoot:
     def inverse(self, w):
         return self.pivot - self.base.inverse(self.pivot - w)
 
+    def _reflected(self, breaks):
+        pivot = self.pivot
+        return lambda lo, hi: sorted(pivot - b for b in breaks(pivot - hi, pivot - lo))
+
+    def witness(self):
+        base, pivot = self.base, self.pivot
+        if not (base._exact() and is_exact(pivot)):
+            return None
+        g = reflect_map(base.g, pivot)
+        return _witness_pair("mirrored orbit root", INC, self.forward, self.inverse,
+                             pivot - base.u, pivot - base.u, g, g,
+                             self._reflected(base._forward_breaks),
+                             self._reflected(base._inverse_breaks))
+
     def as_map(self) -> GenericMap:
         recipe = ("mirrored", format_scalar(self.pivot), self.base.as_map().recipe)
-        return GenericMap(INC, self.forward, self.inverse, recipe)
+        return GenericMap(INC, self.forward, self.inverse, recipe, self.witness())
 
 
 def _glued(orientation, q_in, q_out, left, right, recipe) -> GenericMap:
@@ -441,7 +556,10 @@ def _glued(orientation, q_in, q_out, left, right, recipe) -> GenericMap:
             return q_in
         return lower.inverse(w) if w < q_out else upper.inverse(w)
 
-    return GenericMap(orientation, forward, inverse, recipe)
+    witness = None
+    if is_exact(q_in) and is_exact(q_out):
+        witness = GluedMap((q_in,), (left, right), (q_out,))
+    return GenericMap(orientation, forward, inverse, recipe, witness)
 
 
 def _affine_root_fast(g: AffineMap, n: int):
@@ -470,8 +588,9 @@ def _affine_root_fast(g: AffineMap, n: int):
 
 
 def _root_below(g, u, v, n, seed: ScalarRootSeed, floor_last=None, cover=None,
-                confine=None):
-    """Root on a below-diagonal piece [u, v] (attracting fixed end u)."""
+                confine=None, closed_form=True):
+    """Root on a below-diagonal piece [u, v] (attracting fixed end u);
+    closed_form=False skips the affine closed form."""
     if cover is not None:
         power, need_lo, need_hi = cover
         if need_lo is not None and need_lo < u:
@@ -480,7 +599,8 @@ def _root_below(g, u, v, n, seed: ScalarRootSeed, floor_last=None, cover=None,
     if confine is not None and confine[1] is not None and confine[1] > u:
         raise IncompatiblePatternError(
             "cannot keep iterated values above the attracting end")
-    if isinstance(g, AffineMap) and seed.divisions is None and seed.anchor is None:
+    if (closed_form and isinstance(g, AffineMap) and seed.divisions is None
+            and seed.anchor is None):
         fast = _affine_root_fast(g, n)
         below = None if cover is None else (cover[0], None, cover[2])
         if fast is not None and _cover_ok(fast, u, v, below, confine, floor_last, g):
@@ -524,11 +644,13 @@ def _mirror_triple(triple, pivot):
             None if lo is None else pivot - lo)
 
 
-def _root_above(g, w, p, n, seed: ScalarRootSeed, cover=None, confine=None):
+def _root_above(g, w, p, n, seed: ScalarRootSeed, cover=None, confine=None,
+                closed_form=True):
     """Root on an above-diagonal piece [w, p] (attracting fixed end p),
     via reflection to the normal form."""
     pivot = w + p
-    if isinstance(g, AffineMap) and seed.divisions is None and seed.anchor is None:
+    if (closed_form and isinstance(g, AffineMap) and seed.divisions is None
+            and seed.anchor is None):
         fast = _affine_root_fast(g, n)
         above = None if cover is None else (cover[0], cover[1], None)
         if fast is not None and _cover_ok(fast, w, p, above, confine):
@@ -584,8 +706,9 @@ def _split_confine(triple, q, for_lower):
 
 def _increasing_root_auto(g, lo, hi, n, seed: ScalarRootSeed,
                           floor_last=None, cover=None, confine=None,
-                          allow_interior=False):
-    """Dispatch an increasing n-th root by diagonal pattern."""
+                          allow_interior=False, closed_form=True):
+    """Dispatch an increasing n-th root by diagonal pattern;
+    closed_form=False keeps to the orbit engine wherever it applies."""
     seed = seed.normalized()
     if n == 1:
         return g
@@ -594,9 +717,10 @@ def _increasing_root_auto(g, lo, hi, n, seed: ScalarRootSeed,
         return AffineMap(Fraction(1), Fraction(0))
     if pat.kind == "below":
         return _root_below(g, lo, hi, n, seed, floor_last=floor_last,
-                           cover=cover, confine=confine)
+                           cover=cover, confine=confine, closed_form=closed_form)
     if pat.kind == "above":
-        return _root_above(g, lo, hi, n, seed, cover=cover, confine=confine)
+        return _root_above(g, lo, hi, n, seed, cover=cover, confine=confine,
+                           closed_form=closed_form)
     if not allow_interior:
         raise HasInteriorFixedPointError(pat.fixed)
     if not pat.attracting:
@@ -607,7 +731,8 @@ def _increasing_root_auto(g, lo, hi, n, seed: ScalarRootSeed,
         raise IncompatiblePatternError(
             "interior repelling fixed point not supported by the orbit engine")
     q = pat.fixed
-    if isinstance(g, AffineMap) and seed.is_default and cover is None and confine is None:
+    if (closed_form and isinstance(g, AffineMap) and seed.is_default
+            and cover is None and confine is None):
         fast = _affine_root_fast(g, n)
         if fast is not None:
             return fast
@@ -618,10 +743,12 @@ def _increasing_root_auto(g, lo, hi, n, seed: ScalarRootSeed,
                 "coverage requirement does not straddle the fixed point")
     left = _root_above(g, lo, q, n, seed,
                        cover=_split_cover(cover, q, True),
-                       confine=_split_confine(confine, q, True))
+                       confine=_split_confine(confine, q, True),
+                       closed_form=closed_form)
     right = _root_below(g, q, hi, n, seed,
                         cover=_split_cover(cover, q, False),
-                        confine=_split_confine(confine, q, False))
+                        confine=_split_confine(confine, q, False),
+                        closed_form=closed_form)
     return _glued(INC, q, q, left, right, ("glued_root", format_scalar(q)))
 
 
@@ -655,6 +782,18 @@ class _OrbitConjugacy:
         self.seg, self.x1, self.x2 = seg, x1, x2
         self.dom1, self.dom2 = _Domain(g1, x1), _Domain(g2, x2)
 
+    def witness(self):
+        g1, g2 = self.dom1.g, self.dom2.g
+        if not (_exact_generator(g1, self.u1) and _exact_generator(g2, self.u2)
+                and is_exact(self.x1) and is_exact(self.x2)):
+            return None
+        # the seed segment is one affine piece: breaks sit on the anchors' orbits
+        return _witness_pair(
+            "orbit conjugacy", INC, self.forward, self.inverse,
+            self.u1, self.u2, g1, g2,
+            lambda lo, hi: _orbit_points(self.dom1, (self.x1,), lo, hi),
+            lambda lo, hi: _orbit_points(self.dom2, (self.x2,), lo, hi))
+
     def forward(self, x):
         if x == self.u1:
             return self.u2
@@ -671,7 +810,7 @@ class _OrbitConjugacy:
     def as_map(self) -> GenericMap:
         return GenericMap(INC, self.forward, self.inverse,
                           ("orbit_conjugacy", format_scalar(self.x1),
-                           format_scalar(self.x2)))
+                           format_scalar(self.x2)), self.witness())
 
 
 def _conj_below(g1, u1, v1, g2, u2, v2, seed: ScalarRootSeed):
@@ -788,8 +927,11 @@ class _SelfPairRoot:
         if x == self.p:
             return self.p
         if _in_range(x, self.u, self.v) > self.p:
-            return self._psi_right(x)
-        return self._psi_right_inv(self.g(x))
+            y = self._psi_right(x)
+        else:
+            y = self._psi_right_inv(self.g(x))
+        # a seed can send part of [u, v] outside it; such values are refused
+        return _in_range(y, self.u, self.v)
 
     def inverse(self, z):
         if z == self.p:
@@ -800,10 +942,24 @@ class _SelfPairRoot:
             x = self.g.inverse(self._psi_right(z))
         return _preimage_in(z, x, self.u, self.v)
 
+    def _breaks(self, lo, hi):
+        # both directions: the segment seeds each side, so breaks sit on
+        # the orbit of x0 above p and on the orbit of y0 below it
+        if lo > self.p:
+            return _orbit_points(self.right, (self.x0,), lo, hi)
+        return _orbit_points(self.left, (self.y0,), lo, hi)
+
+    def witness(self):
+        if not (_exact_generator(self.g, self.p) and is_exact(self.x0)
+                and is_exact(self.y0)):
+            return None
+        return _witness_pair("self pairing", DEC, self.forward, self.inverse,
+                             self.p, self.p, self.g, self.g, self._breaks, self._breaks)
+
     def as_map(self) -> GenericMap:
         return GenericMap(DEC, self.forward, self.inverse,
                           ("self_pair_sqrt", format_scalar(self.x0),
-                           format_scalar(self.y0)))
+                           format_scalar(self.y0)), self.witness())
 
 
 def decreasing_square_root_pair(g_src, lo_src: Scalar, hi_src: Scalar,
@@ -912,6 +1068,15 @@ def odd_swap_maps(A, lo_a: Scalar, hi_a: Scalar, B, lo_b: Scalar, hi_b: Scalar,
     extensions can pull further values back through the root's square
     (alpha-side needs are transported through A).
     """
+    return _odd_swap_maps(A, lo_a, hi_a, B, lo_b, hi_b, k, seed,
+                          cover_alpha, cover_beta)
+
+
+def _odd_swap_maps(A, lo_a, hi_a, B, lo_b, hi_b, k, seed=DEFAULT_SEED,
+                   cover_alpha=None, cover_beta=None, closed_form=True):
+    """odd_swap_maps; closed_form=False builds phi by the orbit engine,
+    whose confinement pin keeps phi^{m+1} strictly inside A's range, so
+    the root sends no end of beta onto an end of alpha."""
     if k < 3 or k % 2 == 0:
         raise MfError("odd swap needs odd order k >= 3")
     m = (k - 1) // 2
@@ -931,7 +1096,7 @@ def odd_swap_maps(A, lo_a: Scalar, hi_a: Scalar, B, lo_b: Scalar, hi_b: Scalar,
     phi = _increasing_root_auto(G, as_scalar(lo_b), as_scalar(hi_b), k, seed,
                                 cover=(m, need_lo, need_hi),
                                 confine=confine,
-                                allow_interior=True)
+                                allow_interior=True, closed_form=closed_form)
     map_alpha = compose_maps(iterate_map(phi, m).inverse_map(), A)
     map_beta = compose_maps(A.inverse_map(), iterate_map(phi, m + 1))
     return map_alpha, map_beta, phi
@@ -944,6 +1109,13 @@ def decreasing_odd_root(g, lo: Scalar, hi: Scalar, k: int,
 
     cover = (lo, hi) requires the root's (k-1)-th power to cover that value
     range (needed when other intervals extend through it)."""
+    return _decreasing_odd_root(g, lo, hi, k, seed, cover)
+
+
+def _decreasing_odd_root(g, lo, hi, k, seed=DEFAULT_SEED, cover=None,
+                         closed_form=True):
+    """decreasing_odd_root; closed_form=False skips every closed form,
+    whose exact landings can send an end of [lo, hi] onto the other end."""
     if k % 2 == 0:
         raise MfError("even order requested; decreasing maps have no even-order roots")
     if k < 3:
@@ -952,7 +1124,7 @@ def decreasing_odd_root(g, lo: Scalar, hi: Scalar, k: int,
     if g(lo) < g(hi):
         raise MfError("decreasing map required")
     seed = seed.normalized()
-    if isinstance(g, AffineMap) and seed.is_default:
+    if closed_form and isinstance(g, AffineMap) and seed.is_default:
         cand = _affine_odd_root_fast(g, k)
         if cand is not None and lo <= cand(lo) <= hi and lo <= cand(hi) <= hi:
             if cover is None:
@@ -992,7 +1164,6 @@ def decreasing_odd_root(g, lo: Scalar, hi: Scalar, k: int,
         if chi > p:
             cover_alpha = (max(clo, p), chi)
     # A = g on (p, hi] into the left side, B = g on [lo, p) back
-    right, left, _phi = odd_swap_maps(g, p, hi, g, lo, p, k, seed,
-                                      cover_alpha=cover_alpha,
-                                      cover_beta=cover_beta)
+    right, left, _phi = _odd_swap_maps(g, p, hi, g, lo, p, k, seed,
+                                       cover_alpha, cover_beta, closed_form)
     return _glued(DEC, p, p, left, right, ("dec_glue", format_scalar(p)))

@@ -247,13 +247,14 @@ def random_reversing_pair_target(rng: random.Random) -> Multifunction:
     raise AssertionError("could not generate a reversing-pair target")
 
 
-def random_dec_selfpair_target(rng: random.Random) -> Multifunction:
+def random_dec_selfpair_target(rng: random.Random, slope_16ths=None) -> Multifunction:
     """Decreasing target with one interval invariant under the square and
-    a single jump avoiding the jump set: admits decreasing odd roots."""
+    a single jump avoiding the jump set: admits decreasing odd roots.  The
+    first branch has slope -``slope_16ths``/16 (drawn from 1..6 if None)."""
     for _ in range(500):
         c = _rational(rng, Fraction(5, 8), Fraction(7, 8), 16)
         p = _rational(rng, Fraction(1, 4), c - Fraction(1, 8), 32)
-        s = Fraction(rng.randint(1, 6), 16)
+        s = Fraction(slope_16ths or rng.randint(1, 6), 16)
         # branch on (0, c) fixing p with slope -s; must self-map [0, c]
         g0 = (-s, p * (1 + s))
         top = g0[0] * 0 + g0[1]

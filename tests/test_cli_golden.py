@@ -6,6 +6,10 @@ and 3 and both monotonicity requests.  Regenerate the golden file only
 for a deliberate output change:
 
     PYTHONPATH=src python tests/test_cli_golden.py --write
+
+``golden/cli_root_grid.json`` keeps the output from before lazy roots
+were verified exactly, when every root over a lazy map was checked on a
+grid; the two files may differ only where such a root became exact.
 """
 
 from __future__ import annotations
@@ -23,6 +27,12 @@ from mfroots.cli import main
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden" / "cli_root.json"
+GRID_GOLDEN = Path(__file__).parent / "golden" / "cli_root_grid.json"
+# lazy roots over rational data: proved exactly, they were grid-checked
+BECAME_EXACT = ("root absorbing_target --order 3 --monotone inc",
+                "root dec_cube_root --order 3 --monotone dec",
+                "root endpoint_target --order 2 --monotone inc",
+                "root endpoint_target --order 3 --monotone inc")
 CASES = [(path.stem, order, monotone)
          for path in sorted(DATA.glob("*.mf"))
          for order in (2, 3)
@@ -60,6 +70,30 @@ def test_golden_covers_every_case(golden):
                          ids=[case_id(*c) for c in CASES])
 def test_root_output_matches_golden(golden, stem, order, monotone):
     assert run_case(stem, order, monotone) == golden[case_id(stem, order, monotone)]
+
+
+def test_only_lazy_rational_roots_became_exact(golden):
+    grid = json.loads(GRID_GOLDEN.read_text(encoding="utf-8"))
+    assert sorted(grid) == sorted(golden)
+    changed = {}
+    for key in grid:
+        old, new = grid[key], golden[key]
+        assert {f: v for f, v in old.items() if f != "stdout"} == \
+            {f: v for f, v in new.items() if f != "stdout"}, key
+        old_lines, new_lines = old["stdout"].splitlines(), new["stdout"].splitlines()
+        assert len(old_lines) == len(new_lines), key
+        diff = [(a, b) for a, b in zip(old_lines, new_lines) if a != b]
+        if diff:
+            changed[key] = diff
+    assert sorted(changed) == sorted(BECAME_EXACT)
+    for key, diff in changed.items():
+        order = key.split("--order ")[1][0]
+        assert diff == [(f"verified: order {order}, grid maxdev 0.000e+00",
+                         f"verified: order {order}, exact")], key
+    # float-backed roots stay on the grid
+    for key, case in golden.items():
+        if "grid maxdev" in case["stdout"]:
+            assert "maxdev 0.000e+00" not in case["stdout"], key
 
 
 if __name__ == "__main__":

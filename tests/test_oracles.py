@@ -2,7 +2,8 @@
 
 The reference implementations below are the straightforward quadratic
 loops for intensity (with its jump pullback), compose, Multifunction.image,
-validate, classify_jump and transition_table.  They are test oracles only:
+Multifunction.one_sided_limit, validate, classify_jump and
+transition_table.  They are test oracles only:
 every case must give equal results, or equal error classes and messages.
 """
 
@@ -26,6 +27,7 @@ from mfroots.core import (
 )
 from mfroots.errors import (
     NoSingleTargetError,
+    NoSuchSideError,
     NotAJumpError,
     OutOfDomainError,
     RangeEscapeError,
@@ -65,6 +67,25 @@ def ref_branch_containing(F, x, closure=False):
         if x == F.domain.hi and F.includes_right_endpoint:
             return F.branches[-1]
     return None
+
+
+def ref_one_sided_limit(F, x, side):
+    x = as_scalar(x)
+    if not F.domain.contains(x):
+        raise OutOfDomainError(f"{format_scalar(x)} outside {F.domain}")
+    if side is mf.LEFT:
+        if x == F.domain.lo:
+            raise NoSuchSideError("no left limit at the left endpoint")
+        for br in F.branches:
+            if br.lo < x <= br.hi:
+                return br.limit(x)
+    else:
+        if x == F.domain.hi:
+            raise NoSuchSideError("no right limit at the right endpoint")
+        for br in F.branches:
+            if br.lo <= x < br.hi:
+                return br.limit(x)
+    raise StructureError(f"no adjacent branch at {format_scalar(x)}")
 
 
 def ref_evaluate(F, x):
@@ -334,6 +355,12 @@ def assert_matches_reference(F, rng):
     assert outcome(mf.compose, F, F) == outcome(ref_compose, F, F)
     for S in value_sets(F, rng):
         assert outcome(F.image, S) == outcome(ref_image, F, S)
+    pts = special_points(F)
+    for x in [*pts, *((u + v) / 2 for u, v in zip(pts, pts[1:])),
+              F.domain.lo - 1, F.domain.hi + 1]:
+        for side in (mf.LEFT, mf.RIGHT):
+            assert (outcome(F.one_sided_limit, x, side)
+                    == outcome(ref_one_sided_limit, F, x, side))
 
 
 FAMILIES = {

@@ -1,0 +1,392 @@
+"""Exact verification of lazy roots (``core.prove_equivalent``).
+
+The proof must agree with the grid wherever both apply, must never pass a
+root whose data were perturbed, and must leave the grid only to roots
+that hold a float-backed map, saying so in the report.
+"""
+
+import random
+from fractions import Fraction as Q
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import mfroots as mf
+from mfroots.builder import (
+    Certificate,
+    RootArtifact,
+    _end_orbit_hit,
+    build_decreasing_odd_root,
+    build_decreasing_square_root,
+    build_increasing_root,
+    recheck_certificate,
+    verify_root,
+)
+from mfroots.core import (
+    Branch,
+    JumpPoint,
+    Multifunction,
+    ValueSet,
+    equivalent,
+    iterate,
+    prove_equivalent,
+)
+from mfroots.errors import NoExactProofError
+from mfroots.maps import AffineMap, ComposedMap, GenericMap, Guard, compose_maps
+from mfroots.scalar_roots import (
+    OrbitRoot,
+    ScalarRootSeed,
+    _MirroredRoot,
+    _OrbitConjugacy,
+    _SeedMap,
+    increasing_nth_root,
+)
+
+from conftest import (
+    random_dec_selfpair_target,
+    random_direct_routed,
+    random_reversing_pair_target,
+)
+
+DELTA = Q(1, 2 ** 40)
+
+
+def build(kind, seed, n=2):
+    rng = random.Random(seed)
+    if kind == "inc":
+        F = random_direct_routed(rng)
+        return F, n, build_increasing_root(F, n)
+    if kind == "sq":
+        F = random_reversing_pair_target(rng)
+        return F, 2, build_decreasing_square_root(F)
+    F = random_dec_selfpair_target(rng)
+    return F, 3, build_decreasing_odd_root(F, 3)
+
+
+def float_backed(m) -> bool:
+    """Whether a map holds a float-backed root anywhere inside it."""
+    if isinstance(m, ComposedMap):
+        return any(float_backed(a) for a in m.maps)
+    if isinstance(m, GenericMap):
+        recipe = m.recipe
+        while recipe and recipe[0] == "inverse":
+            recipe = recipe[1]
+        if recipe and recipe[0].startswith("affine_real_"):
+            return True
+        return m.witness is not None and hasattr(m.witness, "pieces") and any(
+            float_backed(p) for p in m.witness.pieces)
+    return hasattr(m, "pieces") and any(float_backed(p) for p in m.pieces)
+
+
+class TestAgainstGrid:
+    """Every exact pass also passes the grid with deviation 0, and every
+    root without a float-backed map is verified exactly."""
+
+    def check(self, F, n, art):
+        if not isinstance(art, RootArtifact):
+            return
+        v = art.verification
+        assert v.passed
+        floats = any(float_backed(br.map) for br in art.realized.branches)
+        assert v.exact is not floats, v
+        if v.exact:
+            grid = equivalent(iterate(art.realized, n), F)
+            assert grid.equal and grid.max_deviation == 0, grid
+        else:
+            assert "irrational slope root" in v.detail
+
+    @settings(max_examples=8, deadline=None)
+    @given(seed=st.integers(0, 10_000), n=st.sampled_from([2, 3]))
+    def test_direct_routed(self, seed, n):
+        self.check(*build("inc", seed, n))
+
+    @settings(max_examples=8, deadline=None)
+    @given(seed=st.integers(0, 10_000))
+    def test_reversing_pair(self, seed):
+        self.check(*build("sq", seed))
+
+    @settings(max_examples=8, deadline=None)
+    @given(seed=st.integers(0, 10_000))
+    def test_dec_selfpair(self, seed):
+        self.check(*build("odd", seed))
+
+
+# ---------------------------------------------------------------------------
+# mutations: perturb one datum by 2^-40, the proof must not pass
+# ---------------------------------------------------------------------------
+
+def lazy_objects(m):
+    """The lazy construction objects behind a map, through compositions
+    and glued maps."""
+    if isinstance(m, ComposedMap):
+        for a in m.maps:
+            yield from lazy_objects(a)
+    elif isinstance(m, GenericMap):
+        owner = getattr(m.forward, "__self__", None)
+        if owner is not None:
+            yield owner
+            if isinstance(owner, _MirroredRoot):
+                yield owner.base
+        elif m.witness is not None and hasattr(m.witness, "pieces"):
+            for p in m.witness.pieces:
+                yield from lazy_objects(p)
+
+
+def exact_roots(kind, n=2, count=6):
+    """Built roots (F, n, artifact) verified exactly: roots over float maps
+    are checked on the grid, which a perturbation of 2^-40 passes."""
+    out = []
+    for seed in range(count):
+        F, k, art = build(kind, seed, n)
+        if isinstance(art, RootArtifact) and art.verification.exact:
+            out.append((F, k, art))
+    return out
+
+
+def roots_with(kind, cls, n=2, count=40):
+    """Exactly verified roots (F, n, artifact) whose maps hold a ``cls``
+    object."""
+    out = []
+    for F, k, art in exact_roots(kind, n, count):
+        if any(
+                isinstance(o, cls) for br in art.realized.branches
+                for o in lazy_objects(br.map)):
+            out.append((F, k, art))
+    return out
+
+
+def first(art, cls):
+    return next(o for br in art.realized.branches for o in lazy_objects(br.map)
+                if isinstance(o, cls))
+
+
+def nudge(m: AffineMap) -> AffineMap:
+    return AffineMap(m.slope, m.intercept + DELTA)
+
+
+def assert_not_passed(f, F, n):
+    try:
+        report = verify_root(f, F, n)
+    except mf.errors.MfError:
+        return  # e.g. the perturbed root maps out of the domain: refused
+    assert not report.passed, report
+
+
+class TestMutations:
+    @pytest.mark.parametrize("kind,n", [("inc", 2), ("inc", 3), ("odd", 3)])
+    def test_seed_division(self, kind, n):
+        cases = roots_with(kind, OrbitRoot, n)
+        assert cases
+        for F, k, art in cases[:4]:
+            root = first(art, OrbitRoot)
+            pieces = list(root.seed.pieces)
+            lo, hi, m = pieces[1]
+            prev_lo, _, prev_m = pieces[0]
+            pieces[0] = (prev_lo, lo - DELTA, prev_m)
+            pieces[1] = (lo - DELTA, hi, m)
+            root.seed = _SeedMap(pieces)
+            assert_not_passed(art.realized, F, k)
+
+    @pytest.mark.parametrize("kind,cls,n", [("inc", OrbitRoot, 2), ("odd", OrbitRoot, 3),
+                                            ("sq", _OrbitConjugacy, 2)])
+    def test_seed_piece(self, kind, cls, n):
+        cases = roots_with(kind, cls, n)
+        assert cases
+        for F, k, art in cases[:4]:
+            obj = first(art, cls)
+            if isinstance(obj, OrbitRoot):
+                pieces = list(obj.seed.pieces)
+                lo, hi, m = pieces[0]
+                pieces[0] = (lo, hi, nudge(m))
+                obj.seed = _SeedMap(pieces)
+            else:
+                obj.seg = nudge(obj.seg)
+            assert_not_passed(art.realized, F, k)
+
+    @pytest.mark.parametrize("kind,n", [("inc", 2), ("inc", 3), ("odd", 3)])
+    def test_seed_piece_turned_about_its_end(self, kind, n):
+        # the piece keeps its value at its lower end, and the next piece
+        # takes over at its upper end: the map is wrong only inside it
+        for F, k, art in roots_with(kind, OrbitRoot, n)[:4]:
+            root = first(art, OrbitRoot)
+            pieces = list(root.seed.pieces)
+            for i, (lo, hi, m) in enumerate(pieces):
+                turned = AffineMap(m.slope + DELTA, m.intercept - DELTA * lo)
+                root.seed = _SeedMap([*pieces[:i], (lo, hi, turned), *pieces[i + 1:]])
+                assert_not_passed(art.realized, F, k)
+            root.seed = _SeedMap(pieces)
+
+    @pytest.mark.parametrize("kind", ["inc", "sq", "odd"])
+    def test_extension_branch(self, kind):
+        for F, k, art in exact_roots(kind):
+            f = art.realized
+            branches = list(f.branches)
+            br = branches[-1]
+            branches[-1] = Branch(br.lo, br.hi, compose_maps(AffineMap(1, DELTA), br.map))
+            assert_not_passed(Multifunction(f.domain, f.orientation, tuple(branches),
+                                            f.jumps), F, k)
+
+    @pytest.mark.parametrize("kind", ["inc", "sq", "odd"])
+    def test_root_jump_value(self, kind):
+        for F, k, art in exact_roots(kind):
+            f = art.realized
+            jp = f.jumps[0]
+            c = jp.value.components[0]
+            value = ValueSet((mf.ClosedInterval(c.lo + DELTA, c.hi),
+                              *jp.value.components[1:]))
+            jumps = (JumpPoint(jp.location, value), *f.jumps[1:])
+            assert_not_passed(Multifunction(f.domain, f.orientation, f.branches, jumps),
+                              F, k)
+
+    def test_self_pairing_segment(self):
+        # x -> 99x/100 + 1/300 maps [3/10, 2/5] into itself around its
+        # fixed point 1/3; the seed keeps the pairing off its closed form
+        g = AffineMap(Q(99, 100), Q(1, 300))
+        u, v = Q(3, 10), Q(2, 5)
+        F = Multifunction.build(u, v, [(u, v, g.slope, g.intercept)])
+        psi, _ = mf.decreasing_square_root_pair(
+            g, u, v, seed=ScalarRootSeed(anchor=v, image_anchor=u))
+        f = Multifunction(F.domain, mf.DEC, (Branch(u, v, psi),), ())
+        report = verify_root(f, F, 2)
+        assert report.passed and report.exact, report
+        psi.forward.__self__.seg = nudge(psi.forward.__self__.seg)
+        assert_not_passed(f, F, 2)
+
+
+# ---------------------------------------------------------------------------
+# the pieces maps report
+# ---------------------------------------------------------------------------
+
+class TestWitnesses:
+    def quarter_root(self):
+        # square root of x -> x/4 on [0, 1], seeded at 1 with division 3/4
+        return increasing_nth_root(AffineMap(Q(1, 4), 0), 0, 1, 2,
+                                   ScalarRootSeed(anchor=1, divisions=(Q(3, 4),)))
+
+    def test_orbit_root_pieces(self):
+        phi = self.quarter_root()
+        assert phi.recipe[0] == "orbit_root"
+        # knots 1, 3/4 (and 1/4 = g(1)) and their orbit images
+        assert phi.breaks(Q(1, 8), Q(15, 16)) == (Q(3, 16), Q(1, 4), Q(3, 4))
+        assert phi.limits(0, 1) == (0,)
+        assert phi.limits(Q(1, 8), 1) == ()
+        with pytest.raises(NoExactProofError):
+            phi.breaks(0, 1)
+        assert phi.germ(0, 1) == [phi.witness]
+        assert phi.witness.generators(0) == (AffineMap(Q(1, 4), 0),) * 2
+        assert phi.witness.generators(Q(1, 2)) is None
+        # the inverse reports the images of the forward pieces
+        inv = phi.inverse_map()
+        assert inv.breaks(Q(1, 64), Q(3, 4)) == tuple(
+            sorted(phi(x) for x in phi.breaks(phi.inverse(Q(1, 64)), phi.inverse(Q(3, 4)))))
+        # between breaks the map is affine
+        pts = (Q(1, 8), *phi.breaks(Q(1, 8), Q(15, 16)), Q(15, 16))
+        for a, b in zip(pts, pts[1:]):
+            mid = (a + b) / 2
+            assert phi(mid) - phi(a) == phi(b) - phi(mid)
+
+    def test_composed_pullback(self):
+        phi = self.quarter_root()
+        K = AffineMap(Q(1, 4), 0)
+        # the inner map sends [0, 1] onto [1/8, 5/8], where phi breaks at
+        # 3/16 and 1/4; they pull back to 1/8 and 1/4
+        word = compose_maps(K.inverse_map(), phi, AffineMap(Q(1, 2), Q(1, 8)))
+        assert word.breaks(0, 1) == (Q(1, 8), Q(1, 4))
+        assert word.limits(0, 1) == ()
+        assert word.limits(Q(-1, 4), 1) == (Q(-1, 4),)
+
+    def test_glued_germ_guards(self):
+        root = mf.scalar_roots._increasing_root_auto(
+            AffineMap(Q(1, 2), Q(1, 4)), 0, 1, 2, mf.scalar_roots.DEFAULT_SEED,
+            cover=(1, Q(1, 10), Q(9, 10)), allow_interior=True)
+        assert root.recipe[0] == "glued_root"
+        assert root.limits(0, 1) == (Q(1, 2),)
+        left, right = root.germ(Q(1, 2), -1), root.germ(Q(1, 2), 1)
+        assert isinstance(left[0], Guard) and left[0].knots == (Q(1, 2),)
+        assert left[1] is not right[1]
+        assert left[1].generators(Q(1, 2)) == (AffineMap(Q(1, 2), Q(1, 4)),) * 2
+
+    def test_float_root_names_itself(self):
+        real = increasing_nth_root(AffineMap(Q(1, 2), 0), 0, 1, 2)
+        assert real.recipe[0] == "affine_real_root"
+        with pytest.raises(NoExactProofError, match="irrational slope root of slope 1/2"):
+            real.breaks(Q(1, 2), 1)
+        with pytest.raises(NoExactProofError, match="irrational slope root"):
+            real.inverse_map().limits(0, 1)
+        F = Multifunction.build(0, 1, [(0, 1, Q(1, 2), 0)])
+        f = Multifunction(F.domain, mf.INC, (Branch(0, 1, real),), ())
+        report = verify_root(f, F, 2)
+        assert report.passed and not report.exact
+        assert report.detail == ("grid comparison (irrational slope root of slope 1/2 "
+                                 "(affine_real_root))")
+
+    def test_lazy_root_is_proved(self):
+        phi = self.quarter_root()
+        F = Multifunction.build(0, 1, [(0, 1, Q(1, 4), 0)])
+        f = Multifunction(F.domain, mf.INC, (Branch(0, 1, phi),), ())
+        report = prove_equivalent(iterate(f, 2), F)
+        assert report.equal and report.exact
+        # the same root is not a cube root
+        wrong = Multifunction.build(0, 1, [(0, 1, Q(1, 8), 0)])
+        report = prove_equivalent(iterate(f, 3), wrong)
+        assert not report.equal and report.exact
+        assert report.worst_point is not None
+        x = report.worst_point
+        assert phi(phi(phi(x))) != x / 8
+
+    def test_opaque_map_falls_back(self):
+        half = AffineMap(Q(1, 2), 0)
+        opaque = GenericMap(mf.INC, half, half.inverse, ("counting",))
+        F = Multifunction.build(0, 1, [(0, 1, Q(1, 4), 0)])
+        f = Multifunction(F.domain, mf.INC, (Branch(0, 1, opaque),), ())
+        report = verify_root(f, F, 2)
+        assert report.passed and not report.exact
+        assert "no exact witness for counting" in report.detail
+
+
+# ---------------------------------------------------------------------------
+# decreasing cubic roots: no end lands on a jump
+# ---------------------------------------------------------------------------
+
+class TestDecreasingCubic:
+    def end_on_jump_target(self):
+        return Multifunction.build(
+            0, 1, [(0, Q(3, 4), Q(-1, 8), Q(9, 16)), (Q(3, 4), 1, Q(-1, 8), Q(33, 64))],
+            [(Q(3, 4), (Q(27, 64), Q(15, 32)))])
+
+    def test_closed_form_landing_on_the_jump_falls_back(self):
+        F = self.end_on_jump_target()
+        # the closed form -x/2 + 3/4 sends 0 onto the jump at 3/4
+        closed = Multifunction.build(
+            0, 1, [(0, Q(3, 4), Q(-1, 2), Q(3, 4)), (Q(3, 4), 1, Q(-1, 2), Q(3, 4))],
+            [(Q(3, 4), (Q(3, 8), Q(3, 8) + Q(1, 64)))])
+        assert _end_orbit_hit(F, closed, 3) == (0, 1, Q(3, 4))
+        art = build_decreasing_odd_root(F, 3)
+        assert isinstance(art, RootArtifact)
+        assert art.verification.passed and art.verification.exact
+        assert art.recipe.payload["maps"]["0"] == ["generic", "('dec_glue', '1/2')"]
+        assert 0 < art.realized(0).singleton_value() < Q(3, 4)
+        assert _end_orbit_hit(F, art.realized, 3) is None
+
+    def test_sweep_of_slope_eighth_targets(self):
+        outcomes = set()
+        for seed in range(300):
+            F = random_dec_selfpair_target(random.Random(seed), 2)
+            out = build_decreasing_odd_root(F, 3)
+            if isinstance(out, RootArtifact):
+                assert out.verification.passed and out.verification.exact
+                outcomes.add("root")
+            else:
+                assert out.rule == "EndpointInfeasible" and recheck_certificate(out, F)
+                outcomes.add("certificate")
+        assert "root" in outcomes
+
+    def test_end_orbit_certificate_rechecks(self):
+        F = self.end_on_jump_target()
+        cert = Certificate("EndpointInfeasible", "", inputs={"order": "3"},
+                           witnesses={"endpoint": Q(0), "image": Q(3, 4), "power": 1})
+        assert recheck_certificate(cert, F)
+        for bad in ({"endpoint": Q(3, 4)}, {"image": Q(1, 2)}, {"power": 3}):
+            w = {**cert.witnesses, **bad}
+            assert not recheck_certificate(
+                Certificate(cert.rule, "", cert.inputs, w), F)

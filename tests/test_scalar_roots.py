@@ -437,8 +437,10 @@ class TestDeclaredIntervals:
             g, 0, 1, seed=ScalarRootSeed(anchor=Q(9, 10), image_anchor=Q(1, 300)))
         assert psi(Q(9, 10)) == Q(1, 300)
         assert psi(0) == Q(9, 10)
-        assert psi.inverse(psi(1)) == 1
-        for x in (Q(-1, 4), Q(5, 4)):
+        assert psi.inverse(Q(1, 300)) == Q(9, 10)
+        # this seed sends the top of [0, 1] below 0: psi(1) = -14/255 and
+        # psi(19/20) = -0.0258 are refused, not returned
+        for x in (Q(-1, 4), Q(5, 4), 1, Q(19, 20)):
             with pytest.raises(EvaluationRangeError):
                 psi(x)
         with pytest.raises(EvaluationRangeError):
