@@ -221,13 +221,13 @@ def _map_recipe(m) -> object:
 
 
 def _finish(F: Multifunction, realized: Multifunction, n: int,
-            cfg: EquivalenceConfig, pipeline: str, orientation: str,
+            pipeline: str, orientation: str,
             payload: Dict[str, object]) -> RootArtifact:
     """Validate a constructed root, verify fⁿ = F and attach its recipe."""
     report = realized.validate()
     if not report.ok:
         raise MfError(f"constructed root fails validation: {report.summary()}")
-    verification = verify_root(realized, F, n, cfg)
+    verification = verify_root(realized, F, n)
     if not verification.passed:
         raise MfError(f"constructed root fails verification: {verification}")
     return RootArtifact(RootRecipe(pipeline, n, orientation, payload),
@@ -370,8 +370,7 @@ def _merge_piece_roots(domain: ClosedInterval,
 
 
 def build_increasing_root(F: Multifunction, n: int,
-                          seed: Optional[ScalarRootSeed] = None,
-                          cfg: EquivalenceConfig = EquivalenceConfig()) -> BuildOutcome:
+                          seed: Optional[ScalarRootSeed] = None) -> BuildOutcome:
     """Strictly increasing order-n root of an increasing exclusive
     multifunction, or a certificate explaining why the construction (and,
     where the theory says so, any root) cannot exist."""
@@ -407,7 +406,7 @@ def build_increasing_root(F: Multifunction, n: int,
         })
 
     realized = _merge_piece_roots(F.domain, piece_roots)
-    return _finish(F, realized, n, cfg, "increasing", "inc", {
+    return _finish(F, realized, n, "increasing", "inc", {
         "seed": _seed_to_payload(seed),
         "cuts": [format_scalar(c) for c in split.cuts],
         "pieces": piece_payload,
@@ -503,8 +502,7 @@ def _end_orbit_certificate(n, a, j, x) -> Certificate:
 
 def build_decreasing_square_root(F: Multifunction,
                                  pairing: Optional[List[Tuple[int, int]]] = None,
-                                 seed: Optional[ScalarRootSeed] = None,
-                                 cfg: EquivalenceConfig = EquivalenceConfig()) -> BuildOutcome:
+                                 seed: Optional[ScalarRootSeed] = None) -> BuildOutcome:
     """Strictly decreasing f with f² = F for increasing exclusive F, built
     from a pairing of the invariant intervals."""
     _require_valid(F)
@@ -568,7 +566,7 @@ def build_decreasing_square_root(F: Multifunction,
     hit = _end_orbit_hit(F, realized, 2)
     if hit is not None:
         return _end_orbit_certificate(2, *hit)
-    return _finish(F, realized, 2, cfg, "dec_square", "dec", {
+    return _finish(F, realized, 2, "dec_square", "dec", {
         "seed": _seed_to_payload(seed if seed is not DEFAULT_SEED else None),
         "pairing": [[i, j] for i, j in pairing],
         "maps": {str(i): _map_recipe(m) for i, m in sorted(root_maps.items())},
@@ -580,8 +578,7 @@ def build_decreasing_square_root(F: Multifunction,
 # ---------------------------------------------------------------------------
 
 def build_decreasing_odd_root(F: Multifunction, k: int,
-                              seed: Optional[ScalarRootSeed] = None,
-                              cfg: EquivalenceConfig = EquivalenceConfig()) -> BuildOutcome:
+                              seed: Optional[ScalarRootSeed] = None) -> BuildOutcome:
     """Strictly decreasing k-th root (k odd) of a decreasing exclusive
     multifunction, working on the invariant structure of F²."""
     _require_valid(F)
@@ -682,7 +679,7 @@ def build_decreasing_odd_root(F: Multifunction, k: int,
         hit = _end_orbit_hit(F, realized, k)
         if hit is not None:
             return _end_orbit_certificate(k, *hit)
-    return _finish(F, realized, k, cfg, "dec_odd", "dec", {
+    return _finish(F, realized, k, "dec_odd", "dec", {
         "seed": _seed_to_payload(seed if seed is not DEFAULT_SEED else None),
         "maps": {str(i): _map_recipe(mp) for i, mp in sorted(root_maps.items())},
     })

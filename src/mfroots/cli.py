@@ -15,7 +15,7 @@ from fractions import Fraction
 from . import builder as bld
 from . import io as mfio
 from . import structure as st
-from .core import EquivalenceConfig, Multifunction
+from .core import Multifunction
 from .errors import MfError, NoSingleTargetError
 from .maps import DEC, INC
 from .scalars import format_scalar
@@ -93,6 +93,8 @@ def _load_seed(path):
 
 
 def _root(args) -> int:
+    if args.preview < 2:  # preview points sit at i/(preview - 1)
+        raise MfError(f"--preview must be at least 2, got {args.preview}")
     F = mfio.load_mf(args.file)
     seed = _load_seed(args.seed)
     want = INC if args.monotone == "inc" else DEC
@@ -139,8 +141,7 @@ def _root(args) -> int:
 def _verify(args) -> int:
     F = mfio.load_mf(args.target)
     f = mfio.load_mf(args.candidate)
-    cfg = EquivalenceConfig(grid=args.grid, tol=args.tol)
-    report = bld.verify_root(f, F, args.order, cfg)
+    report = bld.verify_root(f, F, args.order)
     status = "pass" if report.passed else "fail"
     mode = "exact" if report.exact else "grid"
     print(f"{status} ({mode}, max deviation {report.max_deviation:.3e})")
@@ -165,6 +166,8 @@ def _certify(args) -> int:
 
 
 def _plot_data(args) -> int:
+    if args.samples < 2:  # sample points sit at i/(samples - 1)
+        raise MfError(f"--samples must be at least 2, got {args.samples}")
     F = mfio.load_mf(args.file)
     if args.output.endswith(".svg"):
         _write_svg(F, args.output, args.samples)
@@ -251,8 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("target")
     p.add_argument("candidate")
     p.add_argument("--order", type=int, required=True)
-    p.add_argument("--grid", type=int, default=1024)
-    p.add_argument("--tol", type=float, default=1e-9)
     p.set_defaults(func=_verify)
 
     p = sub.add_parser("certify", help="nonexistence certificate")

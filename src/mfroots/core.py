@@ -487,10 +487,10 @@ class Multifunction:
 
     # -- validation ---------------------------------------------------------
 
-    def validate(self, tol: Optional[float] = None, samples: int = 64) -> ValidationReport:
+    def validate(self) -> ValidationReport:
         """Check the class membership invariants; empty report = valid."""
-        if tol is None:
-            tol = 0.0 if self.is_exact else 1e-9
+        tol = 0.0 if self.is_exact else 1e-9
+        samples = 64
         out: List[Violation] = []
         a, b = self.domain.lo, self.domain.hi
         inc = self.orientation is INC

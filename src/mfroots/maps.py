@@ -169,7 +169,8 @@ MonotoneMap = object  # duck type: AffineMap | GenericMap | ComposedMap | GluedM
 class GluedMap:
     """Continuous strictly monotone map glued from pieces at interior
     knots; the adjacent pieces must agree at each knot.  ``value_knots``,
-    the images of the knots, are evaluated when not given."""
+    the images of the knots, are evaluated when not given.  A knot maps to
+    its value knot and back exactly, whatever the pieces compute there."""
 
     def __init__(self, knots, pieces, value_knots=None):
         assert len(pieces) == len(knots) + 1
@@ -204,11 +205,15 @@ class GluedMap:
         return i
 
     def __call__(self, x: Scalar) -> Scalar:
-        return self.pieces[self._index(x, self.knots)](x)
+        i = self._index(x, self.knots)
+        if i < len(self.knots) and x == self.knots[i]:
+            return self.value_knots[i]
+        return self.pieces[i](x)
 
     def inverse(self, w: Scalar) -> Scalar:
-        ascending = self.orientation is INC
-        i = self._index(w, self.value_knots, ascending)
+        i = self._index(w, self.value_knots, self.orientation is INC)
+        if i < len(self.knots) and w == self.value_knots[i]:
+            return self.knots[i]
         return self.pieces[i].inverse(w)
 
     def inverse_map(self) -> "GluedMap":

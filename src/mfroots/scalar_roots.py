@@ -2,21 +2,23 @@
 
 All constructions share one engine: pick a fundamental domain of the
 orbit structure, seed it with a piecewise-linear map, and extend along
-orbits by conjugation.  Exact affine closed forms are returned whenever
-the required root of the slope stays rational; otherwise evaluation is
-lazy, and stays exact-rational pointwise when the underlying map is
-affine over the rationals.  A lazy evaluation k orbit steps from the
-fundamental domain costs a number of exact operations logarithmic in k
-when the orbit's generator is an exact affine map (g^k(x) = p + s^k (x - p)
-in closed form), and k single steps for generic generators and float
-points.
+orbits by conjugation.  An affine map may instead take the affine root
+that keeps its fixed point (``_affine_root``: exact when the slope root
+is rational, float-backed otherwise), which ``_closed_form`` accepts only
+when it meets the requirements the engine would pin.  Lazy evaluation
+stays exact-rational pointwise when the underlying map is affine over
+the rationals.  A lazy evaluation k orbit steps from the fundamental
+domain costs a number of exact operations logarithmic in k when the
+orbit's generator is an exact affine map (g^k(x) = p + s^k (x - p) in
+closed form), and k single steps for generic generators and float points.
 
 Each lazy map built over exact affine data carries a witness
-(``_OrbitWitness``, or a ``GluedMap`` for glued maps) that lets
-``core.prove_equivalent`` check identities exactly: the map commutes with
-its generators, f∘g_in = g_out∘f, it fixes the structure at the attracting
-point of g_in, and it is affine between the orbit images of its knots.
-The witness reads the same seed data the evaluation uses.
+(``_OrbitWitness``, r∘W∘r for a root mirrored by r, or the ``GluedMap``
+of a glued map) that lets ``core.prove_equivalent`` check identities
+exactly: the map commutes with its generators, f∘g_in = g_out∘f, it fixes
+the structure at the attracting point of g_in, and it is affine between
+the orbit images of its knots.  The witness reads the same seed data the
+evaluation uses.
 """
 
 from __future__ import annotations
@@ -134,19 +136,24 @@ def map_pattern(g, lo: Scalar, hi: Scalar, samples: int = 65) -> MapPattern:
     if len(crossings) > 1:
         raise IncompatiblePatternError("multiple interior fixed points")
     i = crossings[0]
-    a_, b_ = float(pts[i]), float(pts[i + 1])
-    sign_left = signs[i]
+    return MapPattern("interior", _crossing(g, pts[i], pts[i + 1], signs[i]),
+                      attracting=signs[i] > 0)
+
+
+def _crossing(g, a, b, sign_left) -> float:
+    """Float bisection for the point between a and b where g crosses the
+    diagonal; g(x) − x has the sign sign_left at a."""
+    a, b = float(a), float(b)
     for _ in range(200):
-        m = (a_ + b_) / 2
+        m = (a + b) / 2
         d = g(m) - m
-        if d == 0 or m in (a_, b_):
-            a_ = b_ = m
-            break
-        if (1 if d > 0 else -1) == sign_left:
-            a_ = m
+        if d == 0 or m in (a, b):
+            return m
+        if (d > 0) == (sign_left > 0):
+            a = m
         else:
-            b_ = m
-    return MapPattern("interior", (a_ + b_) / 2, attracting=sign_left > 0)
+            b = m
+    return (a + b) / 2
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +183,7 @@ def _divisions(x0, gx0, n, custom=None, floor_last=None, pins=()):
             raise BadSeedError(f"divisions must decrease strictly inside ({gx0}, {x0})")
         return divs
     divs = _arith(x0, gx0, n)
-    if floor_last is not None and n >= 2 and divs[-1] <= floor_last:
+    if floor_last is not None and divs[-1] <= floor_last:
         if not gx0 < floor_last < x0:
             raise IncompatiblePatternError(
                 f"cannot keep the root below the cap: bound {format_scalar(floor_last)} "
@@ -455,8 +462,8 @@ class OrbitRoot:
             pieces.append((knots[i + 1], knots[i], seg))
             chain = compose_maps(seg, chain)
         # bottom piece [t_n, t_{n-1}] -> g([t_1, t_0]) via the chain inverse
-        bottom = compose_maps(g, chain.inverse_map()) if n >= 2 else g
-        pieces.append((knots[n], knots[n - 1] if n >= 2 else knots[0], bottom))
+        bottom = compose_maps(g, chain.inverse_map())
+        pieces.append((knots[n], knots[n - 1], bottom))
         pieces.sort(key=lambda p: p[0])
         self.seed = _SeedMap(pieces)
         self.t1 = knots[1]
@@ -493,12 +500,9 @@ class OrbitRoot:
         ends = {m(x) for a, b, m in self.seed.pieces for x in (a, b)}
         return _orbit_points(self.inner, (self.t1, *ends), lo, hi)
 
-    def _exact(self) -> bool:
-        knots = (self.u, self.x0, *self.divs)
-        return _exact_generator(self.g, self.u) and all(map(is_exact, knots))
-
     def witness(self):
-        if not self._exact():
+        knots = (self.u, self.x0, *self.divs)
+        if not (_exact_generator(self.g, self.u) and all(map(is_exact, knots))):
             return None
         return _witness_pair("orbit root", INC, self.forward, self.inverse,
                              self.u, self.u, self.g, self.g,
@@ -522,69 +526,74 @@ class _MirroredRoot:
     def inverse(self, w):
         return self.pivot - self.base.inverse(self.pivot - w)
 
-    def _reflected(self, breaks):
-        pivot = self.pivot
-        return lambda lo, hi: sorted(pivot - b for b in breaks(pivot - hi, pivot - lo))
-
     def witness(self):
-        base, pivot = self.base, self.pivot
-        if not (base._exact() and is_exact(pivot)):
+        base = self.base.witness()
+        if base is None or not is_exact(self.pivot):
             return None
-        g = reflect_map(base.g, pivot)
-        return _witness_pair("mirrored orbit root", INC, self.forward, self.inverse,
-                             pivot - base.u, pivot - base.u, g, g,
-                             self._reflected(base._forward_breaks),
-                             self._reflected(base._inverse_breaks))
+        r = AffineMap(Fraction(-1), self.pivot)
+        return compose_maps(r, base, r)
 
     def as_map(self) -> GenericMap:
         recipe = ("mirrored", format_scalar(self.pivot), self.base.as_map().recipe)
         return GenericMap(INC, self.forward, self.inverse, recipe, self.witness())
 
 
-def _glued(orientation, q_in, q_out, left, right, recipe) -> GenericMap:
-    """Map sending q_in to q_out, by left below q_in and right above it;
-    the inverse takes the side that lies below q_out."""
-    lower, upper = (left, right) if orientation is INC else (right, left)
-
-    def forward(x):
-        if x == q_in:
-            return q_out
-        return left(x) if x < q_in else right(x)
-
-    def inverse(w):
-        if w == q_out:
-            return q_in
-        return lower.inverse(w) if w < q_out else upper.inverse(w)
-
-    witness = None
-    if is_exact(q_in) and is_exact(q_out):
-        witness = GluedMap((q_in,), (left, right), (q_out,))
-    return GenericMap(orientation, forward, inverse, recipe, witness)
+def _glued(q_in, q_out, left, right, recipe) -> GenericMap:
+    """Map sending q_in to q_out, by left below q_in and right above it."""
+    glue = GluedMap((q_in,), (left, right), (q_out,))
+    witness = glue if is_exact(q_in) and is_exact(q_out) else None
+    return GenericMap(glue.orientation, glue, glue.inverse, recipe, witness)
 
 
-def _affine_root_fast(g: AffineMap, n: int):
-    """Closed-form n-th root of an increasing affine map, exact when the
-    slope root is rational, float-backed otherwise."""
+def _affine_root(g: AffineMap, n: int, orientation: Orientation):
+    """The affine n-th root of g with the given orientation that keeps g's
+    fixed point p: x ↦ p + a(x − p) with a = ±|s|^(1/n) for g's slope s.
+    Exact when |s|^(1/n) is rational, float-backed otherwise; None for an
+    increasing root of a map with s <= 0."""
     s = g.slope
-    if s <= 0:
+    if orientation is INC and s <= 0:
         return None
-    if s == 1:
+    if s == 1:  # a translation: only increasing roots are asked of one
         return AffineMap(Fraction(1), g.intercept / n)
     p = g.fixed_point()
-    alpha = rational_nth_root(s, n)
+    sign = 1 if orientation is INC else -1
+    alpha = rational_nth_root(abs(s), n)
     if alpha is not None:
-        return AffineMap(alpha, p * (1 - alpha))
-    alpha_f = float(s) ** (1.0 / n)
-    p_f = float(p)
+        return AffineMap(sign * alpha, p * (1 - sign * alpha))
+    a, c = sign * abs(float(s)) ** (1.0 / n), float(p)
+    if orientation is INC:
+        recipe = ("affine_real_root", format_scalar(s), format_scalar(p), n)
+    elif n == 2:
+        recipe = ("affine_real_sqrt_dec", format_scalar(s), format_scalar(p))
+    else:
+        recipe = ("affine_real_odd_root", format_scalar(s), format_scalar(g.intercept), n)
+    return GenericMap(orientation, lambda x: c + a * (float(x) - c),
+                      lambda w: c + (float(w) - c) / a, recipe)
 
-    def fwd(x, a=alpha_f, c=p_f):
-        return c + a * (float(x) - c)
 
-    def bwd(w, a=alpha_f, c=p_f):
-        return c + (float(w) - c) / a
-
-    return GenericMap(INC, fwd, bwd,
-                      ("affine_real_root", format_scalar(s), format_scalar(p), n))
+def _closed_form(g, n, lo, hi, cover=None, confine=None, floor_last=None,
+                 orientation=INC):
+    """g's affine root (``_affine_root``) when it meets the requirements
+    on [lo, hi], else None: the cap g(hi) on phi(floor_last), the coverage
+    (power, need_lo, need_hi) and the confinement (power, c_lo, c_hi) of
+    the image of [lo, hi] under phi^power; None bounds are not checked.
+    The image's ends are sorted, so both orientations read them alike."""
+    phi = _affine_root(g, n, orientation)
+    if phi is None:
+        return None
+    if floor_last is not None and not phi(floor_last) < g(hi):
+        return None
+    if cover is not None:
+        low, high = sorted(map(iterate_map(phi, cover[0]), (lo, hi)))
+        if ((cover[1] is not None and low > cover[1])
+                or (cover[2] is not None and high < cover[2])):
+            return None
+    if confine is not None:
+        low, high = sorted(map(iterate_map(phi, confine[0]), (lo, hi)))
+        if ((confine[1] is not None and low < confine[1])
+                or (confine[2] is not None and high > confine[2])):
+            return None
+    return phi
 
 
 def _root_below(g, u, v, n, seed: ScalarRootSeed, floor_last=None, cover=None,
@@ -601,9 +610,9 @@ def _root_below(g, u, v, n, seed: ScalarRootSeed, floor_last=None, cover=None,
             "cannot keep iterated values above the attracting end")
     if (closed_form and isinstance(g, AffineMap) and seed.divisions is None
             and seed.anchor is None):
-        fast = _affine_root_fast(g, n)
         below = None if cover is None else (cover[0], None, cover[2])
-        if fast is not None and _cover_ok(fast, u, v, below, confine, floor_last, g):
+        fast = _closed_form(g, n, u, v, below, confine, floor_last)
+        if fast is not None:
             return fast
     pins = []
     if cover is not None and cover[2] is not None:
@@ -613,27 +622,6 @@ def _root_below(g, u, v, n, seed: ScalarRootSeed, floor_last=None, cover=None,
     root = OrbitRoot(g, u, v, n, anchor=seed.anchor, divisions=seed.divisions,
                      floor_last=floor_last, pins=pins)
     return root.as_map()
-
-
-def _cover_ok(phi, lo, hi, cover, confine, floor_last=None, g=None):
-    """Check a closed-form root on [lo, hi] against the cap g(hi) on
-    phi(floor_last), the coverage (power, need_lo, need_hi) and the
-    confinement (power, c_lo, c_hi); None bounds are not checked."""
-    if floor_last is not None and not phi(floor_last) < g(hi):
-        return False
-    if cover is not None:
-        power, need_lo, need_hi = cover
-        if need_hi is not None and iterate_map(phi, power)(hi) < need_hi:
-            return False
-        if need_lo is not None and iterate_map(phi, power)(lo) > need_lo:
-            return False
-    if confine is not None:
-        power, c_lo, c_hi = confine
-        if c_hi is not None and iterate_map(phi, power)(hi) > c_hi:
-            return False
-        if c_lo is not None and iterate_map(phi, power)(lo) < c_lo:
-            return False
-    return True
 
 
 def _mirror_triple(triple, pivot):
@@ -651,9 +639,9 @@ def _root_above(g, w, p, n, seed: ScalarRootSeed, cover=None, confine=None,
     pivot = w + p
     if (closed_form and isinstance(g, AffineMap) and seed.divisions is None
             and seed.anchor is None):
-        fast = _affine_root_fast(g, n)
         above = None if cover is None else (cover[0], cover[1], None)
-        if fast is not None and _cover_ok(fast, w, p, above, confine):
+        fast = _closed_form(g, n, w, p, above, confine)
+        if fast is not None:
             return fast
     g_tilde = reflect_map(g, pivot)
     mirrored_cover = _mirror_triple(cover, pivot)
@@ -710,8 +698,6 @@ def _increasing_root_auto(g, lo, hi, n, seed: ScalarRootSeed,
     """Dispatch an increasing n-th root by diagonal pattern;
     closed_form=False keeps to the orbit engine wherever it applies."""
     seed = seed.normalized()
-    if n == 1:
-        return g
     pat = map_pattern(g, lo, hi)
     if pat.kind == "identity":
         return AffineMap(Fraction(1), Fraction(0))
@@ -725,7 +711,7 @@ def _increasing_root_auto(g, lo, hi, n, seed: ScalarRootSeed,
         raise HasInteriorFixedPointError(pat.fixed)
     if not pat.attracting:
         if isinstance(g, AffineMap) and seed.is_default:
-            fast = _affine_root_fast(g, n)
+            fast = _closed_form(g, n, lo, hi)
             if fast is not None:
                 return fast
         raise IncompatiblePatternError(
@@ -733,7 +719,7 @@ def _increasing_root_auto(g, lo, hi, n, seed: ScalarRootSeed,
     q = pat.fixed
     if (closed_form and isinstance(g, AffineMap) and seed.is_default
             and cover is None and confine is None):
-        fast = _affine_root_fast(g, n)
+        fast = _closed_form(g, n, lo, hi)
         if fast is not None:
             return fast
     if cover is not None:
@@ -749,7 +735,7 @@ def _increasing_root_auto(g, lo, hi, n, seed: ScalarRootSeed,
                         cover=_split_cover(cover, q, False),
                         confine=_split_confine(confine, q, False),
                         closed_form=closed_form)
-    return _glued(INC, q, q, left, right, ("glued_root", format_scalar(q)))
+    return _glued(q, q, left, right, ("glued_root", format_scalar(q)))
 
 
 # ---------------------------------------------------------------------------
@@ -851,7 +837,7 @@ def _conj_increasing(g1, lo1, hi1, g2, lo2, hi2, seed: ScalarRootSeed):
     q1, q2 = p1.fixed, p2.fixed
     left = _conj_increasing(g1, lo1, q1, g2, lo2, q2, seed)
     right = _conj_increasing(g1, q1, hi1, g2, q2, hi2, seed)
-    return _glued(INC, q1, q2, left, right,
+    return _glued(q1, q2, left, right,
                   ("glued_conjugacy", format_scalar(q1), format_scalar(q2)))
 
 
@@ -997,22 +983,10 @@ def decreasing_square_root_pair(g_src, lo_src: Scalar, hi_src: Scalar,
             "self pairing needs an interior fixed point attracting from both sides")
     p = pat.fixed
     if isinstance(g_src, AffineMap) and seed.is_default:
-        alpha = rational_nth_root(g_src.slope, 2)
-        cand = None
-        if alpha is not None:
-            cand = AffineMap(-alpha, p * (1 + alpha))
-        else:
-            alpha_f = float(g_src.slope) ** 0.5
-            p_f = float(p)
-            cand = GenericMap(
-                DEC,
-                lambda x, a=alpha_f, c=p_f: c - a * (float(x) - c),
-                lambda w, a=alpha_f, c=p_f: c - (float(w) - c) / a,
-                ("affine_real_sqrt_dec", format_scalar(g_src.slope),
-                 format_scalar(p)))
-        self_maps = cand(lo_src) <= hi_src and cand(hi_src) >= lo_src
-        covers = cover_top is None or cand(lo_src) >= cover_top
-        if self_maps and covers:
+        # psi maps [lo, hi] into itself and psi(lo) reaches cover_top
+        cand = _closed_form(g_src, 2, lo_src, hi_src, cover=(1, None, cover_top),
+                            confine=(1, lo_src, hi_src), orientation=DEC)
+        if cand is not None:
             return cand, cand
     x0 = hi_src if seed.anchor is None else seed.anchor
     y0 = lo_src if seed.image_anchor is None else seed.image_anchor
@@ -1031,28 +1005,6 @@ def decreasing_square_root_pair(g_src, lo_src: Scalar, hi_src: Scalar,
 # ---------------------------------------------------------------------------
 # decreasing odd roots
 # ---------------------------------------------------------------------------
-
-def _affine_odd_root_fast(g: AffineMap, k: int):
-    s, t = g.slope, g.intercept
-    if s >= 0:
-        return None
-    alpha = rational_nth_root(-s, k)
-    if alpha is not None:
-        a = -alpha
-        return AffineMap(a, t * (a - 1) / (s - 1))
-    a_f = -((-float(s)) ** (1.0 / k))
-    b_f = float(t) * (a_f - 1.0) / (float(s) - 1.0)
-
-    def fwd(x, a=a_f, b=b_f):
-        return a * float(x) + b
-
-    def bwd(w, a=a_f, b=b_f):
-        return (float(w) - b) / a
-
-    return GenericMap(DEC, fwd, bwd,
-                      ("affine_real_odd_root", format_scalar(s),
-                       format_scalar(t), k))
-
 
 def odd_swap_maps(A, lo_a: Scalar, hi_a: Scalar, B, lo_b: Scalar, hi_b: Scalar,
                   k: int, seed: ScalarRootSeed = DEFAULT_SEED,
@@ -1125,35 +1077,17 @@ def _decreasing_odd_root(g, lo, hi, k, seed=DEFAULT_SEED, cover=None,
         raise MfError("decreasing map required")
     seed = seed.normalized()
     if closed_form and isinstance(g, AffineMap) and seed.is_default:
-        cand = _affine_odd_root_fast(g, k)
-        if cand is not None and lo <= cand(lo) <= hi and lo <= cand(hi) <= hi:
-            if cover is None:
-                return cand
-            z1, z2 = cand(lo), cand(hi)
-            for _ in range(k - 2):
-                z1, z2 = cand(z1), cand(z2)
-            if min(z1, z2) <= cover[0] and cover[1] <= max(z1, z2):
-                return cand
+        # f maps [lo, hi] into itself and f^(k-1) covers the cover range
+        needed = None if cover is None else (k - 1, cover[0], cover[1])
+        cand = _closed_form(g, k, lo, hi, needed, (1, lo, hi), orientation=DEC)
+        if cand is not None:
+            return cand
     # involution test: g² = id makes g its own odd root
     probes = [lo, (lo + hi) / 2, hi]
     if all(g(g(x)) == x for x in probes):
         return g
     # unique fixed point of a decreasing map
-    if isinstance(g, AffineMap):
-        p = g.fixed_point()
-    else:
-        a_, b_ = float(lo), float(hi)
-        for _ in range(200):
-            mid = (a_ + b_) / 2
-            d = g(mid) - mid
-            if d == 0 or mid in (a_, b_):
-                a_ = b_ = mid
-                break
-            if d > 0:
-                a_ = mid
-            else:
-                b_ = mid
-        p = (a_ + b_) / 2
+    p = g.fixed_point() if isinstance(g, AffineMap) else _crossing(g, lo, hi, 1)
     if not lo < p < hi:
         raise IncompatiblePatternError("decreasing self-map must cross the diagonal inside")
     cover_alpha = cover_beta = None
@@ -1166,4 +1100,4 @@ def _decreasing_odd_root(g, lo, hi, k, seed=DEFAULT_SEED, cover=None,
     # A = g on (p, hi] into the left side, B = g on [lo, p) back
     right, left, _phi = _odd_swap_maps(g, p, hi, g, lo, p, k, seed,
                                        cover_alpha, cover_beta, closed_form)
-    return _glued(DEC, p, p, left, right, ("dec_glue", format_scalar(p)))
+    return _glued(p, p, left, right, ("dec_glue", format_scalar(p)))

@@ -220,18 +220,17 @@ class SplitResult:
     pieces: Tuple[Multifunction, ...]
 
 
-def split_at_inclusion_fixed_points(F: Multifunction,
-                                    allow_inexact: bool = False) -> SplitResult:
+def split_at_inclusion_fixed_points(F: Multifunction) -> SplitResult:
     """Cut the domain at every interior c with c ∈ F(c); jump values at the
     cut are clipped to each side (degenerate clips stop being jumps)."""
     if F.orientation is not INC:
         raise NotIncreasingError("splitting applies to increasing multifunctions")
     found = inclusion_fixed_points(F)
     inexact = [p for p, e in found if not e]
-    if inexact and not allow_inexact:
+    if inexact:
         raise InexactCutError(
             f"fixed point near {format_scalar(inexact[0])} located by bisection "
-            "only; pass allow_inexact=True to cut there")
+            "only; the domain cannot be cut there exactly")
     cuts = tuple(p for p, _ in found)
     bounds = [F.domain.lo, *cuts, F.domain.hi]
     pieces = tuple(F.restricted(u, v) for u, v in zip(bounds, bounds[1:]))

@@ -360,8 +360,7 @@ class TestRoundTripProperty:
     def test_random_reversing_pairs_square_root(self, seed):
         from conftest import random_reversing_pair_target
         F = random_reversing_pair_target(random.Random(seed))
-        cfg = mf.EquivalenceConfig(grid=128, tol=1e-9)
-        outcome = build_decreasing_square_root(F, cfg=cfg)
+        outcome = build_decreasing_square_root(F)
         assert isinstance(outcome, RootArtifact)
         rep = outcome.verification
         assert rep.passed and (rep.exact or rep.max_deviation <= 1e-9)
@@ -374,8 +373,7 @@ class TestRoundTripProperty:
     def test_random_decreasing_odd_roots(self, seed, k):
         from conftest import random_dec_selfpair_target
         F = random_dec_selfpair_target(random.Random(seed))
-        cfg = mf.EquivalenceConfig(grid=128, tol=1e-9)
-        outcome = build_decreasing_odd_root(F, k, cfg=cfg)
+        outcome = build_decreasing_odd_root(F, k)
         assert isinstance(outcome, RootArtifact)
         rep = outcome.verification
         assert rep.passed and (rep.exact or rep.max_deviation <= 1e-9)

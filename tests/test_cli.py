@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from mfroots.cli import main
 from mfroots.io import load_mf, load_recipe
 
@@ -120,6 +122,29 @@ class TestRoot:
                            "--order", "2", "--monotone", "inc",
                            "-o", str(tmp_path / "r.mfr"))
         assert code == 3 and "error" in err
+
+
+class TestPointCounts:
+    """Sample counts below two are refused before anything is written."""
+
+    @pytest.mark.parametrize("count", ["1", "0"])
+    def test_preview_below_two(self, capsys, tmp_path, count):
+        recipe = tmp_path / "root.mfr"
+        code, out, err = run(capsys, "root", data_path("tail_jump_target.mf"),
+                             "--order", "2", "--monotone", "inc",
+                             "--preview", count, "-o", str(recipe))
+        assert code == 3 and out == ""
+        assert err == f"error: --preview must be at least 2, got {count}\n"
+        assert not recipe.exists()
+
+    @pytest.mark.parametrize("name", ["plot.csv", "plot.svg"])
+    def test_samples_below_two(self, capsys, tmp_path, name):
+        out_path = tmp_path / name
+        code, out, err = run(capsys, "plot-data", data_path("j3_target.mf"),
+                             "-o", str(out_path), "--samples", "1")
+        assert code == 3 and out == ""
+        assert err == "error: --samples must be at least 2, got 1\n"
+        assert not out_path.exists()
 
 
 class TestIterate:

@@ -9,6 +9,7 @@ from mfroots.maps import (
     AffineMap,
     ComposedMap,
     DEC,
+    GenericMap,
     GluedMap,
     INC,
     compose_maps,
@@ -73,6 +74,18 @@ class TestGlued:
         inv = g.inverse_map()
         for x in (Q(1, 10), Q(3, 5)):
             assert inv(g(x)) == x
+
+    def test_knots_stay_exact_with_a_float_piece(self):
+        third = GenericMap(INC, lambda x: float(x) / 3, lambda w: 3 * float(w), ("third",))
+        g = GluedMap((Q(1, 2),), (third, AffineMap(Q(1, 3), 0)), (Q(1, 6),))
+        for value, exact in ((g(Q(1, 2)), Q(1, 6)), (g.inverse(Q(1, 6)), Q(1, 2)),
+                             (g.inverse_map()(Q(1, 6)), Q(1, 2))):
+            assert isinstance(value, Q) and value == exact
+        # value knots evaluated by the float piece still lead back exactly
+        g = GluedMap((Q(1, 2),), (third, AffineMap(Q(1, 3), 0)))
+        assert isinstance(g(Q(1, 2)), float)
+        back = g.inverse(g(Q(1, 2)))
+        assert isinstance(back, Q) and back == Q(1, 2)
 
     def test_nested_glue_flattens(self):
         a = AffineMap(Q(1, 2), 0)

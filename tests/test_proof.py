@@ -303,8 +303,13 @@ class TestWitnesses:
         assert root.limits(0, 1) == (Q(1, 2),)
         left, right = root.germ(Q(1, 2), -1), root.germ(Q(1, 2), 1)
         assert isinstance(left[0], Guard) and left[0].knots == (Q(1, 2),)
-        assert left[1] is not right[1]
-        assert left[1].generators(Q(1, 2)) == (AffineMap(Q(1, 2), Q(1, 4)),) * 2
+        # the mirrored piece reads r, W, r with r(x) = 1/2 - x
+        g, r = AffineMap(Q(1, 2), Q(1, 4)), AffineMap(-1, Q(1, 2))
+        assert len(left) == 4 and left[1] == left[3] == r
+        assert left[2] is not right[1]
+        gens = left[2].generators(r(Q(1, 2)))
+        assert [compose_maps(r, h, r) for h in gens] == [g, g]
+        assert right[1].generators(Q(1, 2)) == (g, g)
 
     def test_float_root_names_itself(self):
         real = increasing_nth_root(AffineMap(Q(1, 2), 0), 0, 1, 2)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import mfroots as mf
 from mfroots import scalar_roots
-from mfroots.maps import AffineMap, GenericMap, compose_maps
+from mfroots.maps import AffineMap, GenericMap, compose_maps, iterate_map
 from mfroots.scalar_roots import (
     OrbitRoot,
     ScalarRootSeed,
@@ -491,3 +491,59 @@ class TestGlue:
         if f.orientation is mf.DEC:
             values.reverse()
         assert all(a < b for a, b in zip(values, values[1:]))
+
+
+class TestClosedForm:
+    """One affine closed form serves every orientation and order, and one
+    gate checks its requirements."""
+
+    @pytest.mark.parametrize("g, n, orientation", [
+        (AffineMap(Q(1, 4), Q(3, 8)), 2, mf.INC),
+        (AffineMap(Q(8, 27), Q(1, 3)), 3, mf.INC),
+        (AffineMap(Q(4, 9), Q(5, 18)), 2, mf.DEC),
+        (AffineMap(Q(-1, 8), Q(9, 16)), 3, mf.DEC),
+        (AffineMap(Q(-1, 32), Q(33, 64)), 5, mf.DEC),
+    ])
+    def test_exact(self, g, n, orientation):
+        phi = scalar_roots._affine_root(g, n, orientation)
+        assert isinstance(phi, AffineMap) and phi.orientation is orientation
+        assert iterate_map(phi, n) == g
+        assert phi(g.fixed_point()) == g.fixed_point()
+
+    @pytest.mark.parametrize("g, n, orientation, recipe", [
+        (AffineMap(Q(1, 2), Q(1, 4)), 2, mf.INC, ("affine_real_root", "1/2", "1/2", 2)),
+        (AffineMap(Q(1, 3), Q(1, 3)), 3, mf.INC, ("affine_real_root", "1/3", "1/2", 3)),
+        (AffineMap(Q(1, 3), Q(1, 9)), 2, mf.DEC, ("affine_real_sqrt_dec", "1/3", "1/6")),
+        (AffineMap(Q(-1, 4), Q(13, 16)), 3, mf.DEC,
+         ("affine_real_odd_root", "-1/4", "13/16", 3)),
+        (AffineMap(Q(-1, 2), Q(3, 4)), 5, mf.DEC,
+         ("affine_real_odd_root", "-1/2", "3/4", 5)),
+    ])
+    def test_float_backed(self, g, n, orientation, recipe):
+        phi = scalar_roots._affine_root(g, n, orientation)
+        assert isinstance(phi, GenericMap) and phi.orientation is orientation
+        assert phi.recipe == recipe
+        pts = GRID[::97]
+        assert max_dev(nfold(phi, n), g, pts) <= 1e-12
+        assert max_dev(lambda x: phi.inverse(phi(x)), lambda x: x, pts) <= 1e-12
+
+    def test_no_increasing_root_of_a_decreasing_map(self):
+        assert scalar_roots._affine_root(AffineMap(Q(-1, 4), 0), 2, mf.INC) is None
+
+    def test_gate_reads_sorted_ends(self):
+        gate = scalar_roots._closed_form
+        # the cube root -x/2 + 27/20 sends [0, 1] onto [17/20, 27/20]
+        g = AffineMap(Q(-1, 8), Q(81, 80))
+        phi = scalar_roots._affine_root(g, 3, mf.DEC)
+        assert phi == AffineMap(Q(-1, 2), Q(27, 20))
+        # read unsorted, as for an increasing map, its ends stay inside
+        assert phi(1) <= 1 and phi(0) >= 0
+        assert gate(g, 3, 0, 1, confine=(1, 0, 1), orientation=mf.DEC) is None
+        # the square root -x/2 + 3/4 sends [0, 1] onto [1/4, 3/4]
+        g = AffineMap(Q(1, 4), Q(3, 8))
+        phi = AffineMap(Q(-1, 2), Q(3, 4))
+        assert gate(g, 2, 0, 1, (1, None, Q(7, 8)), orientation=mf.DEC) is None
+        assert gate(g, 2, 0, 1, (1, Q(1, 8), None), orientation=mf.DEC) is None
+        assert gate(g, 2, 0, 1, (1, Q(1, 4), Q(3, 4)), (1, 0, 1),
+                    orientation=mf.DEC) == phi
+        assert gate(g, 2, 0, 1, confine=(1, Q(1, 2), 1), orientation=mf.DEC) is None
