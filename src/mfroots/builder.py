@@ -50,6 +50,7 @@ from .scalar_roots import (
     _odd_swap_maps,
     decreasing_odd_root,
     decreasing_square_root_pair,
+    evaluation_cache,
     odd_swap_maps,
 )
 from .scalars import Scalar, as_scalar, format_scalar
@@ -223,11 +224,14 @@ def _map_recipe(m) -> object:
 def _finish(F: Multifunction, realized: Multifunction, n: int,
             pipeline: str, orientation: str,
             payload: Dict[str, object]) -> RootArtifact:
-    """Validate a constructed root, verify fⁿ = F and attach its recipe."""
-    report = realized.validate()
-    if not report.ok:
-        raise MfError(f"constructed root fails validation: {report.summary()}")
-    verification = verify_root(realized, F, n)
+    """Validate a constructed root, verify fⁿ = F and attach its recipe.
+    Both steps ask the root's lazy maps at many of the same points, so
+    they share one evaluation cache, dropped on return."""
+    with evaluation_cache():
+        report = realized.validate()
+        if not report.ok:
+            raise MfError(f"constructed root fails validation: {report.summary()}")
+        verification = verify_root(realized, F, n)
     if not verification.passed:
         raise MfError(f"constructed root fails verification: {verification}")
     return RootArtifact(RootRecipe(pipeline, n, orientation, payload),

@@ -233,6 +233,9 @@ class Violation:
 @dataclass(frozen=True)
 class ValidationReport:
     violations: Tuple[Violation, ...]
+    # lo of each generic branch whose monotonicity was only sampled (its
+    # map has no witness); every other branch was checked exactly
+    sampled: Tuple[Scalar, ...] = ()
 
     @property
     def ok(self) -> bool:
@@ -488,10 +491,15 @@ class Multifunction:
     # -- validation ---------------------------------------------------------
 
     def validate(self) -> ValidationReport:
-        """Check the class membership invariants; empty report = valid."""
+        """Check the class membership invariants; empty report = valid.
+
+        A generic branch map is proved strictly monotone through its
+        witness (``_prove_monotone``).  One without a witness, or whose
+        proof fails to evaluate, is sampled at 64 points instead, as
+        before, and the report lists it in ``sampled``."""
         tol = 0.0 if self.is_exact else 1e-9
-        samples = 64
         out: List[Violation] = []
+        sampled: List[Scalar] = []
         a, b = self.domain.lo, self.domain.hi
         inc = self.orientation is INC
 
@@ -500,18 +508,14 @@ class Multifunction:
                 out.append(Violation("orientation", br.lo,
                                      "branch map orientation disagrees"))
             if not isinstance(br.map, AffineMap):
-                # sampled strict-monotonicity spot check for generic maps
-                step = (br.hi - br.lo) / (samples + 1)
-                prev = None
-                for i in range(1, samples + 1):
-                    val = br.map(br.lo + step * i)
-                    if prev is not None:
-                        good = val > prev if inc else val < prev
-                        if not good:
-                            out.append(Violation("monotonicity", br.lo + step * i,
-                                                 "branch not strictly monotone"))
-                            break
-                    prev = val
+                try:
+                    bad = _prove_monotone(br.map, br.lo, br.hi, inc)
+                except MfError:
+                    sampled.append(br.lo)
+                    bad = _sample_monotone(br.map, br.lo, br.hi, inc)
+                if bad is not None:
+                    out.append(Violation("monotonicity", bad,
+                                         "branch not strictly monotone"))
 
         for jp in self.jumps:
             c, V = jp.location, jp.value
@@ -561,7 +565,7 @@ class Multifunction:
                         _tol_close(v, a, tol) or _tol_close(v, b, tol)):
                     out.append(Violation("range", where,
                                          f"value {format_scalar(v)} escapes {self.domain}"))
-        return ValidationReport(tuple(out))
+        return ValidationReport(tuple(out), tuple(sampled))
 
     def _ordered_pieces(self):
         # a jump at c precedes the branch opening at c
@@ -839,10 +843,13 @@ def _reduce_at(W, e, side, x0):
     raise NoExactProofError(f"no neighbourhood of {format_scalar(e)} fits the glue pieces")
 
 
-def _prove_branch(W, A: AffineMap, u, v, limits):
-    """(pieces, x): W = A on [u, v] is proved over ``pieces`` affine
-    pieces, and x is None, or x is a point where they differ; ``limits``
-    are the points of [u, v] where W's pieces accumulate."""
+def _witness_pieces(W, u, v, limits):
+    """(cells, pieces) of W's witness on [u, v]: the cells are u, v and
+    the points ``limits`` of [u, v] where W's pieces accumulate; near each
+    of those, equivariance settles W on the neighbourhood from one
+    fundamental domain (``_reduce_at``), and the rest of [u, v] splits at
+    W's breaks into the pieces (p, q), in increasing order, open intervals
+    on each of which W is affine."""
     cells = sorted({u, v, *limits})
     spans = []
     for a, b in zip(cells, cells[1:]):
@@ -852,24 +859,83 @@ def _prove_branch(W, A: AffineMap, u, v, limits):
         else:
             spans.append((_reduce_at(W, a, 1, b) if a in limits else a,
                           _reduce_at(W, b, -1, a) if b in limits else b))
-    points = set(cells)
-    pieces = 0
+    pieces = []
     for lo, hi in spans:
         ends = (lo, *W.breaks(lo, hi), hi)
-        for p, q in zip(ends, ends[1:]):
-            # W is affine inside (p, q): two inner points settle it there,
-            # whether or not W is continuous at p and q
-            third = (q - p) / 3
-            points.update((p, p + third, q - third))
-            pieces += 1
-        points.add(hi)
-    for x in sorted(points):
-        w = W(x)
-        if not is_exact(w):
-            raise NoExactProofError(f"{W!r} gives the inexact value {w!r}")
-        if w != A(x):
-            return pieces, x
-    return pieces, None
+        pieces.extend(zip(ends, ends[1:]))
+    return cells, pieces
+
+
+def _piece_points(cells, pieces):
+    """The cells, the ends of each piece and two inner points of it, where
+    an affine piece is settled whether or not W is continuous at its ends."""
+    points = set(cells)
+    for p, q in pieces:
+        third = (q - p) / 3
+        points.update((p, p + third, q - third, q))
+    return sorted(points)
+
+
+def _exact_value(W, x):
+    w = W(x)
+    if not is_exact(w):
+        raise NoExactProofError(f"{W!r} gives the inexact value {w!r}")
+    return w
+
+
+def _prove_branch(W, A: AffineMap, u, v, limits):
+    """(pieces, x): W = A on [u, v] is proved over ``pieces`` affine
+    pieces, and x is None, or x is a point where they differ; ``limits``
+    are the points of [u, v] where W's pieces accumulate."""
+    cells, pieces = _witness_pieces(W, u, v, limits)
+    for x in _piece_points(cells, pieces):
+        if _exact_value(W, x) != A(x):
+            return len(pieces), x
+    return len(pieces), None
+
+
+def _prove_monotone(W, u, v, inc: bool):
+    """None when W is proved strictly increasing (``inc``) or decreasing
+    on [u, v], else a point where it is not; raises ``NoExactProofError``
+    when W has no witness or an inexact value.
+
+    On each affine piece two inner points give the slope, whose sign must
+    be the orientation's.  Along x, the values W(x−), W(x), W(x+) at the
+    cells and piece ends, the one-sided ones extrapolated from the pieces,
+    must come in non-strict order.  Near an accumulation point e, W∘g0 =
+    g'∘W for increasing affine g0, g' (``_reduce_at``), so W is strictly
+    monotone there once it is on one fundamental domain, and W(e), the
+    fixed point of g', bounds the values there once it bounds the domain's."""
+    cells, pieces = _witness_pieces(W, u, v, W.limits(u, v))
+    w = {x: _exact_value(W, x) for x in _piece_points(cells, pieces)}
+    marks = {(x, 1): w[x] for x in cells}  # (x, 0|1|2): W(x−), W(x), W(x+)
+    for p, q in pieces:
+        third = (q - p) / 3
+        w1, w2 = w[p + third], w[q - third]
+        if not (w1 < w2 if inc else w1 > w2):
+            return p + third
+        marks[p, 1], marks[q, 1] = w[p], w[q]
+        marks[p, 2], marks[q, 0] = 2 * w1 - w2, 2 * w2 - w1
+    prev = None
+    for (x, _), value in sorted(marks.items()):
+        if prev is not None and (value < prev if inc else value > prev):
+            return x
+        prev = value
+    return None
+
+
+def _sample_monotone(W, u, v, inc: bool):
+    """A sampled point where W fails to be strictly monotone on (u, v),
+    or None; a spot check for maps without a witness."""
+    samples = 64
+    step = (v - u) / (samples + 1)
+    prev = None
+    for i in range(1, samples + 1):
+        val = W(u + step * i)
+        if prev is not None and not (val > prev if inc else val < prev):
+            return u + step * i
+        prev = val
+    return None
 
 
 def prove_equivalent(F: Multifunction, G: Multifunction) -> EquivalenceReport:

@@ -24,7 +24,10 @@ evaluation uses.
 from __future__ import annotations
 
 import bisect
+import contextlib
+import functools
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
@@ -232,12 +235,16 @@ def _divisions(x0, gx0, n, custom=None, floor_last=None, pins=()):
 
 
 class _SeedMap:
-    """Piecewise monotone bijection given by ordered pieces (lo, hi, map)."""
+    """Piecewise increasing bijection given by ordered pieces (lo, hi, map);
+    the ends of the piece images, taken once, are in the same order."""
 
     def __init__(self, pieces):
         self.pieces = pieces
         self.los = [p[0] for p in pieces]
         self.top = pieces[-1][1]
+        images = [sorted((m(lo), m(hi))) for lo, hi, m in pieces]
+        self.img_los = [a for a, _ in images]
+        self.img_his = [b for _, b in images]
 
     def __call__(self, x):
         i = bisect.bisect_right(self.los, x) - 1
@@ -246,11 +253,11 @@ class _SeedMap:
         return self.pieces[i][2](x)
 
     def inverse(self, w):
-        for lo, hi, m in self.pieces:
-            ends = (m(lo), m(hi))
-            if min(ends) <= w <= max(ends):
-                return m.inverse(w)
-        raise EvaluationRangeError(f"{format_scalar(w)} outside the seed image")
+        # the first piece whose image reaches w is the first that holds it
+        i = bisect.bisect_left(self.img_his, w)
+        if i == len(self.pieces) or w < self.img_los[i]:
+            raise EvaluationRangeError(f"{format_scalar(w)} outside the seed image")
+        return self.pieces[i][2].inverse(w)
 
 
 # ---------------------------------------------------------------------------
@@ -421,6 +428,46 @@ def _preimage_in(w, x, lo, hi):
 
 
 # ---------------------------------------------------------------------------
+# evaluation cache
+# ---------------------------------------------------------------------------
+
+# (lazy map, method, argument type, argument) -> value, while a cache is open
+_EVALUATIONS: ContextVar[Optional[dict]] = ContextVar("mfroots_evaluations",
+                                                      default=None)
+_MISSING = object()
+
+
+@contextlib.contextmanager
+def evaluation_cache():
+    """Memoize the exact evaluations of the lazy maps (orbit roots, their
+    mirrors, orbit conjugacies and self pairings) inside the block, which
+    asks the same maps at the same points again and again; the memo is
+    dropped when the block ends, also when it raises."""
+    token = _EVALUATIONS.set({})
+    try:
+        yield
+    finally:
+        _EVALUATIONS.reset(token)
+
+
+def _memoized(method):
+    """``method(self, x)`` looked up in the open evaluation cache.  Only an
+    exact x is looked up or stored, so a float is never answered with an
+    exact value; a call that raises stores nothing."""
+    @functools.wraps(method)
+    def cached(self, x):
+        memo = _EVALUATIONS.get()
+        if memo is None or not is_exact(x):
+            return method(self, x)
+        key = (self, method, type(x), x)
+        value = memo.get(key, _MISSING)
+        if value is _MISSING:
+            value = memo[key] = method(self, x)
+        return value
+    return cached
+
+
+# ---------------------------------------------------------------------------
 # the orbit root (down-attracting normal form)
 # ---------------------------------------------------------------------------
 
@@ -469,6 +516,7 @@ class OrbitRoot:
         self.t1 = knots[1]
         self.inner = _Domain(g, self.t1)  # its image under the root
 
+    @_memoized
     def forward(self, x):
         if x == self.u:
             return self.u
@@ -477,6 +525,7 @@ class OrbitRoot:
         y, k = _orbit_land(self.outer, _in_range(x, self.u, self.v))
         return _orbit_power(self.outer, self.seed(y), -k)
 
+    @_memoized
     def inverse(self, w):
         if w == self.u:
             return self.u
@@ -520,9 +569,11 @@ class _MirroredRoot:
     def __init__(self, base: OrbitRoot, pivot):
         self.base, self.pivot = base, pivot
 
+    @_memoized
     def forward(self, x):
         return self.pivot - self.base.forward(self.pivot - x)
 
+    @_memoized
     def inverse(self, w):
         return self.pivot - self.base.inverse(self.pivot - w)
 
@@ -711,7 +762,7 @@ def _increasing_root_auto(g, lo, hi, n, seed: ScalarRootSeed,
         raise HasInteriorFixedPointError(pat.fixed)
     if not pat.attracting:
         if isinstance(g, AffineMap) and seed.is_default:
-            fast = _closed_form(g, n, lo, hi)
+            fast = _closed_form(g, n, lo, hi, cover, confine, floor_last)
             if fast is not None:
                 return fast
         raise IncompatiblePatternError(
@@ -780,12 +831,14 @@ class _OrbitConjugacy:
             lambda lo, hi: _orbit_points(self.dom1, (self.x1,), lo, hi),
             lambda lo, hi: _orbit_points(self.dom2, (self.x2,), lo, hi))
 
+    @_memoized
     def forward(self, x):
         if x == self.u1:
             return self.u2
         y, k = _orbit_land(self.dom1, _in_range(x, self.u1, self.v1))
         return _orbit_power(self.dom2, self.seg(y), -k)
 
+    @_memoized
     def inverse(self, w):
         if w == self.u2:
             return self.u1
@@ -909,6 +962,7 @@ class _SelfPairRoot:
         y, k = _orbit_land(self.left, w)
         return _orbit_power(self.left, self.seg.inverse(y), -k)
 
+    @_memoized
     def forward(self, x):
         if x == self.p:
             return self.p
@@ -919,6 +973,7 @@ class _SelfPairRoot:
         # a seed can send part of [u, v] outside it; such values are refused
         return _in_range(y, self.u, self.v)
 
+    @_memoized
     def inverse(self, z):
         if z == self.p:
             return self.p

@@ -10,6 +10,8 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from mfroots import Multifunction, intensity
+from mfroots.maps import ComposedMap, GenericMap
+from mfroots.scalar_roots import _MirroredRoot
 
 # deterministic example generation keeps runtimes stable across runs
 settings.register_profile(
@@ -281,6 +283,23 @@ def random_dec_selfpair_target(rng: random.Random, slope_16ths=None) -> Multifun
         if F.validate().ok and intensity(F).value == 1:
             return F
     raise AssertionError("could not generate a decreasing self-pair target")
+
+
+def lazy_objects(m):
+    """The lazy construction objects behind a map, through compositions
+    and glued maps."""
+    if isinstance(m, ComposedMap):
+        for a in m.maps:
+            yield from lazy_objects(a)
+    elif isinstance(m, GenericMap):
+        owner = getattr(m.forward, "__self__", None)
+        if owner is not None:
+            yield owner
+            if isinstance(owner, _MirroredRoot):
+                yield owner.base
+        elif m.witness is not None and hasattr(m.witness, "pieces"):
+            for p in m.witness.pieces:
+                yield from lazy_objects(p)
 
 
 def staircase(count: int) -> Multifunction:

@@ -32,17 +32,17 @@ from mfroots.core import (
     prove_equivalent,
 )
 from mfroots.errors import NoExactProofError
-from mfroots.maps import AffineMap, ComposedMap, GenericMap, Guard, compose_maps
+from mfroots.maps import AffineMap, ComposedMap, GenericMap, GluedMap, Guard, compose_maps
 from mfroots.scalar_roots import (
     OrbitRoot,
     ScalarRootSeed,
-    _MirroredRoot,
     _OrbitConjugacy,
     _SeedMap,
     increasing_nth_root,
 )
 
 from conftest import (
+    lazy_objects,
     random_dec_selfpair_target,
     random_direct_routed,
     random_reversing_pair_target,
@@ -114,23 +114,6 @@ class TestAgainstGrid:
 # ---------------------------------------------------------------------------
 # mutations: perturb one datum by 2^-40, the proof must not pass
 # ---------------------------------------------------------------------------
-
-def lazy_objects(m):
-    """The lazy construction objects behind a map, through compositions
-    and glued maps."""
-    if isinstance(m, ComposedMap):
-        for a in m.maps:
-            yield from lazy_objects(a)
-    elif isinstance(m, GenericMap):
-        owner = getattr(m.forward, "__self__", None)
-        if owner is not None:
-            yield owner
-            if isinstance(owner, _MirroredRoot):
-                yield owner.base
-        elif m.witness is not None and hasattr(m.witness, "pieces"):
-            for p in m.witness.pieces:
-                yield from lazy_objects(p)
-
 
 def exact_roots(kind, n=2, count=6):
     """Built roots (F, n, artifact) verified exactly: roots over float maps
@@ -347,6 +330,94 @@ class TestWitnesses:
         report = verify_root(f, F, 2)
         assert report.passed and not report.exact
         assert "no exact witness for counting" in report.detail
+
+
+# ---------------------------------------------------------------------------
+# validation proved from the witnesses
+# ---------------------------------------------------------------------------
+
+def one_branch(m, orientation=mf.INC):
+    return Multifunction(mf.ClosedInterval(0, 1), orientation, (Branch(0, 1, m),), ())
+
+
+class TestProvenValidation:
+    def quarter_root(self):
+        return increasing_nth_root(AffineMap(Q(1, 4), 0), 0, 1, 2,
+                                   ScalarRootSeed(anchor=1, divisions=(Q(3, 4),)))
+
+    def test_witnessed_branches_are_proved(self):
+        report = one_branch(self.quarter_root()).validate()
+        assert report.ok and report.sampled == ()
+        glued = GluedMap((Q(1, 2),), (AffineMap(Q(1, 2), 0), AffineMap(Q(3, 2), Q(-1, 2))))
+        report = one_branch(glued).validate()
+        assert report.ok and report.sampled == ()
+
+    @pytest.mark.parametrize("kind", ["inc", "sq", "odd"])
+    def test_built_roots_are_proved(self, kind):
+        for F, k, art in exact_roots(kind):
+            report = art.realized.validate()
+            assert report.ok and report.sampled == (), report
+
+    def test_float_root_is_sampled(self):
+        real = increasing_nth_root(AffineMap(Q(1, 2), 0), 0, 1, 2)
+        report = one_branch(real).validate()
+        assert report.ok and report.sampled == (0,)
+        assert report.summary() == "valid"
+        bent = GenericMap(mf.INC, lambda x: (float(x) - 0.5) ** 2,
+                          lambda w: w, ("bent",))
+        report = one_branch(bent).validate()
+        assert [v.kind for v in report.violations] == ["monotonicity"]
+        assert report.sampled == (0,)
+
+    def test_glued_map_with_a_decreasing_piece(self):
+        glued = GluedMap((Q(1, 2),), (AffineMap(1, 0), AffineMap(-1, 1)))
+        assert glued.orientation is mf.INC
+        report = one_branch(glued).validate()
+        assert report.sampled == ()
+        assert report.violations == (
+            mf.core.Violation("monotonicity", Q(2, 3), "branch not strictly monotone"),)
+
+    def test_glued_map_stepping_back_at_its_knot(self):
+        # both pieces increase, but the right one restarts below the knot
+        # value: W(1/2+) = 1/4 < W(1/2) = 1/2
+        glued = GluedMap((Q(1, 2),), (AffineMap(1, 0), AffineMap(1, Q(-1, 4))))
+        report = one_branch(glued).validate()
+        assert report.sampled == ()
+        assert [(v.kind, v.where) for v in report.violations] == [("monotonicity", Q(1, 2))]
+
+    def test_orbit_root_with_a_reversed_seed_piece(self):
+        phi = self.quarter_root()
+        root = phi.forward.__self__
+        (lo, hi, m), *rest = root.seed.pieces
+        reversed_piece = AffineMap(-m.slope, m.slope * (lo + hi) + m.intercept)
+        assert {reversed_piece(lo), reversed_piece(hi)} == {m(lo), m(hi)}
+        root.seed = _SeedMap([(lo, hi, reversed_piece), *rest])
+        report = one_branch(phi).validate()
+        assert report.sampled == ()
+        assert [v.kind for v in report.violations] == ["monotonicity"]
+
+    def test_reversed_piece_near_the_accumulation_point(self):
+        # the reversed seed piece repeats along the orbit toward 0, so a
+        # branch on (0, 1/8) holds only its images
+        phi = self.quarter_root()
+        root = phi.forward.__self__
+        pieces = list(root.seed.pieces)
+        lo, hi, m = pieces[-1]
+        pieces[-1] = (lo, hi, AffineMap(-m.slope, m.slope * (lo + hi) + m.intercept))
+        root.seed = _SeedMap(pieces)
+        f = Multifunction(mf.ClosedInterval(0, Q(1, 8)), mf.INC,
+                          (Branch(0, Q(1, 8), phi),), ())
+        report = f.validate()
+        assert report.sampled == ()
+        assert "monotonicity" in [v.kind for v in report.violations]
+
+    def test_decreasing_branch(self):
+        psi = mf.decreasing_square_root_pair(
+            AffineMap(Q(99, 100), Q(1, 200)), 0, 1,
+            seed=ScalarRootSeed(anchor=1, image_anchor=0))[0]
+        assert psi.orientation is mf.DEC and psi.witness is not None
+        report = one_branch(psi, mf.DEC).validate()
+        assert report.ok and report.sampled == ()
 
 
 # ---------------------------------------------------------------------------

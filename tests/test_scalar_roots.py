@@ -1,12 +1,13 @@
 """Fundamental-domain scalar constructions: roots, conjugacies, pairings."""
 
+import random
 from fractions import Fraction as Q
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import mfroots as mf
-from mfroots import scalar_roots
+from mfroots import builder, scalar_roots
 from mfroots.maps import AffineMap, GenericMap, compose_maps, iterate_map
 from mfroots.scalar_roots import (
     OrbitRoot,
@@ -27,6 +28,10 @@ from mfroots.errors import (
     IncompatiblePatternError,
     WrongSideError,
 )
+from mfroots.io import load_mf
+from mfroots.scalars import format_scalar
+
+from conftest import data_path, lazy_objects, random_direct_routed
 
 GRID = [Q(i, 997) for i in range(1, 997)]
 
@@ -547,3 +552,173 @@ class TestClosedForm:
         assert gate(g, 2, 0, 1, (1, Q(1, 4), Q(3, 4)), (1, 0, 1),
                     orientation=mf.DEC) == phi
         assert gate(g, 2, 0, 1, confine=(1, Q(1, 2), 1), orientation=mf.DEC) is None
+
+    def test_interior_repelling_form_meets_the_requirements(self):
+        # the root 2x - 1/2 of x -> 4x - 3/2 (fixed point 1/2, repelling)
+        # sends 0 to -1/2, outside the confinement [0, 1]
+        g = AffineMap(4, Q(-3, 2))
+        auto = scalar_roots._increasing_root_auto
+        assert auto(g, 0, 1, 2, scalar_roots.DEFAULT_SEED,
+                    allow_interior=True) == AffineMap(2, Q(-1, 2))
+        with pytest.raises(IncompatiblePatternError, match="repelling"):
+            auto(g, 0, 1, 2, scalar_roots.DEFAULT_SEED, cover=(1, Q(1, 4), Q(3, 4)),
+                 confine=(1, 0, 1), allow_interior=True)
+        with pytest.raises(IncompatiblePatternError, match="repelling"):
+            auto(g, 0, 1, 2, scalar_roots.DEFAULT_SEED, cover=(1, -1, 2),
+                 allow_interior=True)
+
+
+def seed_inverse_by_scan(seed, w):
+    """The seed map's inverse as a scan of every piece's image, in order."""
+    for lo, hi, m in seed.pieces:
+        ends = (m(lo), m(hi))
+        if min(ends) <= w <= max(ends):
+            return m.inverse(w)
+    raise EvaluationRangeError(f"{format_scalar(w)} outside the seed image")
+
+
+def outcome(fn, *args):
+    try:
+        return ("ok", type(value := fn(*args)), value)
+    except Exception as exc:
+        return ("error", type(exc), str(exc))
+
+
+class TestSeedMap:
+    """The seed map's inverse bisects image ends taken once; it answers as
+    the scan did, on seeded orbit roots and on those inside built roots."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_inverse_matches_the_scan(self, seed):
+        rng = random.Random(seed)
+        s = Q(rng.randint(1, 15), 16)
+        u = Q(rng.randint(0, 8), 16)
+        v = u + Q(rng.randint(1, 16), 16)
+        g = AffineMap(s, u * (1 - s))
+        n = rng.choice([2, 3, 4, 5])
+        anchor = None if rng.random() < 0.5 else u + (v - u) * Q(rng.randint(1, 8), 8)
+        if rng.random() < 0.3:
+            g = GenericMap(mf.INC, g, g.inverse, ("g",))  # stepped, not jumped
+        self.check(OrbitRoot(g, u, v, n, anchor=anchor))
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_built_roots(self, seed):
+        F = random_direct_routed(random.Random(seed))
+        for n in (2, 3):
+            for br in builder.build_increasing_root(F, n).realized.branches:
+                for root in lazy_objects(br.map):
+                    if isinstance(root, OrbitRoot):
+                        self.check(root)
+
+    def check(self, root):
+        ends = sorted({e for lo, hi, m in root.seed.pieces for e in (m(lo), m(hi))})
+        points = [*ends, *((a + b) / 2 for a, b in zip(ends, ends[1:])),
+                  *((2 * a + b) / 3 for a, b in zip(ends, ends[1:])),
+                  ends[0] - Q(1, 64), ends[-1] + Q(1, 64), float(ends[1]), float(ends[-1])]
+        for w in points:
+            assert (outcome(root.seed.inverse, w)
+                    == outcome(seed_inverse_by_scan, root.seed, w)), w
+
+
+class TestEvaluationCache:
+    def lazy_root(self):
+        # x -> x/4 on [0, 1], seeded at 1 with division 3/4: an orbit root
+        return increasing_nth_root(AffineMap(Q(1, 4), 0), 0, 1, 2,
+                                   ScalarRootSeed(anchor=1, divisions=(Q(3, 4),)))
+
+    def test_memoizes_exact_points_only_inside_the_block(self):
+        phi = self.lazy_root()
+        root = phi.forward.__self__
+        assert scalar_roots._EVALUATIONS.get() is None
+        with scalar_roots.evaluation_cache():
+            memo = scalar_roots._EVALUATIONS.get()
+            first = phi(Q(1, 3))
+            assert phi(Q(1, 3)) == first and len(memo) == 1
+            assert phi.inverse(first) == Q(1, 3) and len(memo) == 2
+            # keyed on the object: another root with equal data has its own entry
+            other = self.lazy_root()
+            assert other(Q(1, 3)) == first and len(memo) == 3
+            assert (root, OrbitRoot.forward.__wrapped__, Q, Q(1, 3)) in memo
+        assert scalar_roots._EVALUATIONS.get() is None
+
+    def test_float_is_never_served_an_exact_value(self):
+        phi = self.lazy_root()
+        outside = phi(0.5)
+        with scalar_roots.evaluation_cache():
+            exact = phi(Q(1, 2))
+            inside = phi(0.5)
+            assert len(scalar_roots._EVALUATIONS.get()) == 1
+        assert isinstance(exact, Q)
+        assert type(inside) is float and inside == outside
+
+    def test_errors_are_not_cached(self):
+        phi = self.lazy_root()
+        with scalar_roots.evaluation_cache():
+            for _ in range(2):
+                with pytest.raises(EvaluationRangeError):
+                    phi(Q(3, 2))
+            assert not scalar_roots._EVALUATIONS.get()
+
+    def test_dropped_when_the_block_raises(self):
+        with pytest.raises(KeyError):
+            with scalar_roots.evaluation_cache():
+                self.lazy_root()(Q(1, 3))
+                raise KeyError("boom")
+        assert scalar_roots._EVALUATIONS.get() is None
+
+    def finish_case(self):
+        F = load_mf(data_path("absorbing_target.mf"))
+        art = builder.build_increasing_root(F, 3)
+        return F, art
+
+    def test_finish_shares_one_cache_and_drops_it(self, monkeypatch):
+        F, art = self.finish_case()
+        seen = []
+        real_verify = builder.verify_root
+
+        def spy(f, G, n):
+            seen.append(dict(scalar_roots._EVALUATIONS.get()))
+            return real_verify(f, G, n)
+
+        monkeypatch.setattr(builder, "verify_root", spy)
+        again = builder._finish(F, art.realized, 3, "increasing", "inc", {})
+        assert again.verification == art.verification
+        # validation filled the cache that verification then read
+        assert len(seen) == 1 and seen[0]
+        assert scalar_roots._EVALUATIONS.get() is None
+
+    def test_finish_drops_the_cache_when_it_raises(self, monkeypatch):
+        F, art = self.finish_case()
+
+        def failing(f, G, n):
+            assert scalar_roots._EVALUATIONS.get()
+            raise EvaluationRangeError("verification failed")
+
+        monkeypatch.setattr(builder, "verify_root", failing)
+        with pytest.raises(EvaluationRangeError):
+            builder._finish(F, art.realized, 3, "increasing", "inc", {})
+        assert scalar_roots._EVALUATIONS.get() is None
+        # a root that fails validation raises before verification
+        br = art.realized.branches[0]
+        bent = GenericMap(mf.INC, lambda x: -x, lambda w: -w, ("bent",))
+        broken = mf.Multifunction(art.realized.domain, mf.INC,
+                                  (mf.Branch(br.lo, br.hi, bent), *art.realized.branches[1:]),
+                                  art.realized.jumps)
+        with pytest.raises(mf.errors.MfError, match="fails validation"):
+            builder._finish(F, broken, 3, "increasing", "inc", {})
+        assert scalar_roots._EVALUATIONS.get() is None
+
+    def test_orbit_steps_of_a_build(self, monkeypatch):
+        # building and checking the cube root of the absorbing fixture
+        # lands points on fundamental domains 304 times without the shared
+        # cache and the proven validation, and 107 times with them
+        calls = []
+        land = scalar_roots._orbit_land
+
+        def counted(dom, x):
+            calls.append(x)
+            return land(dom, x)
+
+        monkeypatch.setattr(scalar_roots, "_orbit_land", counted)
+        builder.build_increasing_root(load_mf(data_path("absorbing_target.mf")), 3)
+        assert 0 < len(calls) <= 200
