@@ -285,9 +285,12 @@ class ComposedMap:
         on each open segment between the cuts found so far, so the next
         map's breaks on a segment's image pull back by solving that affine
         map, and two inner points give the next affine map.  Only forward
-        evaluations are used, and no continuity at the cuts is assumed."""
+        evaluations are used, and no continuity at the cuts is assumed.
+        Only the cuts of the last map are read, so it is not fitted; the
+        last map is told by its position, as one map can recur in a chain."""
         segments = [(lo, hi, Fraction(1), Fraction(0))]  # x ↦ a·x + b on (p, q)
-        for m in reversed(self.maps):
+        last = len(self.maps) - 1
+        for i, m in enumerate(reversed(self.maps)):
             if isinstance(m, AffineMap):
                 segments = [(p, q, m.slope * a, m.slope * b + m.intercept)
                             for p, q, a, b in segments]
@@ -298,6 +301,9 @@ class ComposedMap:
                 cuts = [(y - b) / a for y in m.breaks(min(ends), max(ends))]
                 pts = [p, *sorted(cuts), q]
                 for p2, q2 in zip(pts, pts[1:]):
+                    if i == last:
+                        split.append((p2, q2, None, None))
+                        continue
                     t1, t2 = p2 + (q2 - p2) / 3, q2 - (q2 - p2) / 3
                     z1, z2 = m(a * t1 + b), m(a * t2 + b)
                     a2 = (z2 - z1) / (t2 - t1)

@@ -236,7 +236,9 @@ def _divisions(x0, gx0, n, custom=None, floor_last=None, pins=()):
 
 class _SeedMap:
     """Piecewise increasing bijection given by ordered pieces (lo, hi, map);
-    the ends of the piece images, taken once, are in the same order."""
+    the ends of the piece images, taken once, are in the same order.  It
+    answers which piece holds a point or a value; the orbit carry applies
+    the piece."""
 
     def __init__(self, pieces):
         self.pieces = pieces
@@ -246,18 +248,20 @@ class _SeedMap:
         self.img_los = [a for a, _ in images]
         self.img_his = [b for _, b in images]
 
-    def __call__(self, x):
+    def piece(self, x):
+        """The map of the piece that holds x."""
         i = bisect.bisect_right(self.los, x) - 1
         if i < 0 or (i == len(self.pieces) - 1 and x > self.top):
             raise EvaluationRangeError(f"{format_scalar(x)} outside the seed domain")
-        return self.pieces[i][2](x)
+        return self.pieces[i][2]
 
-    def inverse(self, w):
+    def inverse_piece(self, w):
+        """The map of the piece whose image holds w."""
         # the first piece whose image reaches w is the first that holds it
         i = bisect.bisect_left(self.img_his, w)
         if i == len(self.pieces) or w < self.img_los[i]:
             raise EvaluationRangeError(f"{format_scalar(w)} outside the seed image")
-        return self.pieces[i][2].inverse(w)
+        return self.pieces[i][2]
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +340,30 @@ def _orbit_power(dom: _Domain, z, k):
     for _ in range(abs(k)):
         z = step(z)
     return z
+
+
+def _orbit_carry(dom_in: _Domain, dom_out: _Domain, x, y, k, piece, inverse=False):
+    """g_out^(−k)(σ(y)), where (y, k) is the landing of x in dom_in and σ
+    the piece (its inverse when ``inverse``) that sends y toward dom_out.
+
+    When both orbits are exact affine, longer than _WALK, and σ(y) =
+    a·y + b is affine, the value is taken in factored form.  With
+    e = x − p_in, y − p_in = s_in^k·e exactly, so the value is
+    p_out + a·(s_in/s_out)^k·e + s_out^(−k)·(σ(p_in) − p_out), and for
+    s_in = s_out the power is e/(y − p_in).  Each product then pairs a
+    small number with a large one, where s_out^(−k)·(σ(y) − p_out) would
+    normalize two large numbers that cancel.  Otherwise, as for float
+    points, σ(y) is carried by _orbit_power."""
+    p_in, p_out = dom_in.fixed, dom_out.fixed
+    if (abs(k) <= _WALK or p_in is None or p_out is None or not is_exact(x)
+            or not isinstance(piece, AffineMap)):
+        return _orbit_power(dom_out, piece.inverse(y) if inverse else piece(y), -k)
+    a = 1 / piece.slope if inverse else piece.slope
+    c = (piece.inverse(p_in) if inverse else piece(p_in)) - p_out
+    e, s_in, s_out = x - p_in, dom_in.g.slope, dom_out.g.slope
+    if s_in == s_out:
+        return p_out + a * e + c * e / (y - p_in)
+    return p_out + a * (s_in / s_out) ** k * e + c * s_out ** -k
 
 
 def _orbit_points(dom: _Domain, knots, lo, hi):
@@ -522,8 +550,9 @@ class OrbitRoot:
             return self.u
         if x == self.v and self.g(self.v) == self.v:
             return self.v
-        y, k = _orbit_land(self.outer, _in_range(x, self.u, self.v))
-        return _orbit_power(self.outer, self.seed(y), -k)
+        x = _in_range(x, self.u, self.v)
+        y, k = _orbit_land(self.outer, x)
+        return _orbit_carry(self.outer, self.outer, x, y, k, self.seed.piece(y))
 
     @_memoized
     def inverse(self, w):
@@ -534,7 +563,8 @@ class OrbitRoot:
         if not self.u <= w <= self.v:
             raise EvaluationRangeError(f"{format_scalar(w)} outside the root range")
         y, k = _orbit_land(self.inner, w)
-        x = _orbit_power(self.inner, self.seed.inverse(y), -k)
+        x = _orbit_carry(self.inner, self.inner, w, y, k, self.seed.inverse_piece(y),
+                         inverse=True)
         if x > self.v or x < self.u:
             raise EvaluationRangeError(
                 f"{format_scalar(w)} has no root preimage inside the interval")
@@ -835,15 +865,16 @@ class _OrbitConjugacy:
     def forward(self, x):
         if x == self.u1:
             return self.u2
-        y, k = _orbit_land(self.dom1, _in_range(x, self.u1, self.v1))
-        return _orbit_power(self.dom2, self.seg(y), -k)
+        x = _in_range(x, self.u1, self.v1)
+        y, k = _orbit_land(self.dom1, x)
+        return _orbit_carry(self.dom1, self.dom2, x, y, k, self.seg)
 
     @_memoized
     def inverse(self, w):
         if w == self.u2:
             return self.u1
         y, k = _orbit_land(self.dom2, w)
-        x = _orbit_power(self.dom1, self.seg.inverse(y), -k)
+        x = _orbit_carry(self.dom2, self.dom1, w, y, k, self.seg, inverse=True)
         return _preimage_in(w, x, self.u1, self.v1)
 
     def as_map(self) -> GenericMap:
@@ -956,11 +987,11 @@ class _SelfPairRoot:
 
     def _psi_right(self, x):
         y, k = _orbit_land(self.right, x)
-        return _orbit_power(self.right, self.seg(y), -k)
+        return _orbit_carry(self.right, self.right, x, y, k, self.seg)
 
     def _psi_right_inv(self, w):
         y, k = _orbit_land(self.left, w)
-        return _orbit_power(self.left, self.seg.inverse(y), -k)
+        return _orbit_carry(self.left, self.left, w, y, k, self.seg, inverse=True)
 
     @_memoized
     def forward(self, x):

@@ -32,7 +32,15 @@ from mfroots.core import (
     prove_equivalent,
 )
 from mfroots.errors import NoExactProofError
-from mfroots.maps import AffineMap, ComposedMap, GenericMap, GluedMap, Guard, compose_maps
+from mfroots.maps import (
+    AffineMap,
+    ComposedMap,
+    GenericMap,
+    GluedMap,
+    Guard,
+    compose_maps,
+    iterate_map,
+)
 from mfroots.scalar_roots import (
     OrbitRoot,
     ScalarRootSeed,
@@ -335,6 +343,92 @@ class TestWitnesses:
 # ---------------------------------------------------------------------------
 # validation proved from the witnesses
 # ---------------------------------------------------------------------------
+
+def ref_composed_breaks(chain: ComposedMap, lo, hi) -> tuple:
+    """ComposedMap.breaks as it was when it fitted every map of the chain,
+    the last one included; the oracle of the version that skips that fit."""
+    segments = [(lo, hi, Q(1), Q(0))]
+    for m in reversed(chain.maps):
+        if isinstance(m, AffineMap):
+            segments = [(p, q, m.slope * a, m.slope * b + m.intercept)
+                        for p, q, a, b in segments]
+            continue
+        split = []
+        for p, q, a, b in segments:
+            ends = (a * p + b, a * q + b)
+            cuts = [(y - b) / a for y in m.breaks(min(ends), max(ends))]
+            pts = [p, *sorted(cuts), q]
+            for p2, q2 in zip(pts, pts[1:]):
+                t1, t2 = p2 + (q2 - p2) / 3, q2 - (q2 - p2) / 3
+                z1, z2 = m(a * t1 + b), m(a * t2 + b)
+                a2 = (z2 - z1) / (t2 - t1)
+                split.append((p2, q2, a2, z1 - a2 * t1))
+        segments = split
+    return tuple(p for p, _, _, _ in segments[1:])
+
+
+def breaks_outcome(fn, *args):
+    try:
+        return ("ok", fn(*args))
+    except Exception as exc:
+        return ("error", type(exc), str(exc))
+
+
+def assert_breaks_match(chain, lo, hi):
+    assert isinstance(chain, ComposedMap)
+    assert (breaks_outcome(chain.breaks, lo, hi)
+            == breaks_outcome(ref_composed_breaks, chain, lo, hi)), (chain, lo, hi)
+
+
+class TestComposedBreaks:
+    """ComposedMap.breaks no longer fits the last map of its chain, and
+    gives the cuts the version that fitted every map gave."""
+
+    def two_piece(self):
+        # x/2 on [0, 1/2] and 3x/2 - 1/2 on [1/2, 1]; G^-1(1/2) = 2/3
+        return GluedMap((Q(1, 2),), (AffineMap(Q(1, 2), 0), AffineMap(Q(3, 2), Q(-1, 2))))
+
+    def test_one_map_at_two_positions(self):
+        # the inner G is not the last map although it is the same object
+        G = self.two_piece()
+        chain = ComposedMap((G, G))
+        assert chain.breaks(0, 1) == (Q(1, 2), Q(2, 3))
+        for lo, hi in [(0, 1), (Q(1, 3), Q(3, 4)), (Q(1, 2), 1), (Q(3, 5), Q(7, 10))]:
+            assert_breaks_match(chain, lo, hi)
+        assert_breaks_match(ComposedMap((G, G, G)), 0, 1)
+
+    def test_iterated_orbit_root(self):
+        phi = TestWitnesses().quarter_root()
+        for times in (2, 3):
+            chain = iterate_map(phi, times)
+            assert chain.maps == (phi,) * times
+            for lo, hi in [(Q(1, 8), Q(15, 16)), (Q(1, 64), Q(1, 2)), (0, 1)]:
+                assert_breaks_match(chain, lo, hi)
+
+    def test_mixed_chains(self):
+        phi = TestWitnesses().quarter_root()
+        G = self.two_piece()
+        K = AffineMap(Q(1, 4), 0)
+        chains = [compose_maps(K.inverse_map(), phi, AffineMap(Q(1, 2), Q(1, 8))),
+                  compose_maps(G, phi, G), compose_maps(phi, G, phi),
+                  compose_maps(phi, AffineMap(Q(1, 2), Q(1, 4)), G),
+                  compose_maps(AffineMap(Q(1, 2), Q(1, 4)), G, phi.inverse_map(), G)]
+        for chain in chains:
+            for lo, hi in [(Q(1, 8), Q(15, 16)), (Q(1, 4), Q(3, 4)), (0, 1)]:
+                assert_breaks_match(chain, lo, hi)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_branches_of_built_iterates(self, seed):
+        F, n, art = build("inc", seed, n=2 + seed % 2)
+        for br in iterate(art.realized, n).branches:
+            if not isinstance(br.map, ComposedMap):
+                continue
+            cells = sorted({br.lo, br.hi, *br.map.limits(br.lo, br.hi)})
+            assert_breaks_match(br.map, br.lo, br.hi)
+            for a, b in zip(cells, cells[1:]):
+                for margin in (Q(1, 4), Q(1, 64)):  # nearer a limit, more cuts
+                    assert_breaks_match(br.map, a + (b - a) * margin, b - (b - a) * margin)
+
 
 def one_branch(m, orientation=mf.INC):
     return Multifunction(mf.ClosedInterval(0, 1), orientation, (Branch(0, 1, m),), ())

@@ -1,5 +1,6 @@
 """Fundamental-domain scalar constructions: roots, conjugacies, pairings."""
 
+import math
 import random
 from fractions import Fraction as Q
 
@@ -13,6 +14,7 @@ from mfroots.scalar_roots import (
     OrbitRoot,
     ScalarRootSeed,
     _Domain,
+    _orbit_carry,
     _orbit_land,
     _orbit_power,
     conjugacy,
@@ -374,10 +376,173 @@ class TestOrbitEngine:
 
     def test_seed_map_rejects_points_outside_its_domain(self):
         root = OrbitRoot(AffineMap(Q(1, 2), 0), 0, 1, 2, anchor=Q(3, 4))
-        assert root.seed(Q(3, 4)) == root.seed.pieces[-1][2](Q(3, 4))
+        assert root.seed.piece(Q(3, 4)) is root.seed.pieces[-1][2]
         for x in (Q(3, 8) - Q(1, 100), Q(3, 4) + Q(1, 100)):
-            with pytest.raises(EvaluationRangeError):
-                root.seed(x)
+            with pytest.raises(EvaluationRangeError, match="outside the seed domain"):
+                root.seed.piece(x)
+        for w in (Q(9, 32) - Q(1, 100), Q(9, 16) + Q(1, 100)):  # image [9/32, 9/16]
+            with pytest.raises(EvaluationRangeError, match="outside the seed image"):
+                root.seed.inverse_piece(w)
+
+
+def carried_by_power(dom_in, dom_out, x, piece, inverse=False):
+    """The value of x carried as the orbit engine carried it before the
+    factored form: land x, apply the piece, and carry with _orbit_power."""
+    y, k = _orbit_land(dom_in, x)
+    return _orbit_power(dom_out, piece.inverse(y) if inverse else piece(y), -k)
+
+
+def carried(dom_in, dom_out, x, piece, inverse=False):
+    y, k = _orbit_land(dom_in, x)
+    return _orbit_carry(dom_in, dom_out, x, y, k, piece, inverse)
+
+
+seed_pieces = st.builds(
+    AffineMap, st.fractions(min_value=-8, max_value=8, max_denominator=16).filter(bool),
+    st.fractions(min_value=-2, max_value=2, max_denominator=64))
+
+
+def carry_case(g_in, other, same_slope, side, anchors, offset, decades):
+    """(dom_in, dom_out, x): anchors on the side ``side`` of each fixed
+    point, and x at offset/10^decades from g_in's fixed point on that side.
+    With ``same_slope`` both orbits are those of g_in, from two anchors, as
+    in an orbit root or a self pairing."""
+    g_out = g_in if same_slope else other
+    p_in, p_out = g_in.fixed_point(), g_out.fixed_point()
+    dom_in = _Domain(g_in, p_in + side * anchors[0])
+    dom_out = _Domain(g_out, p_out + side * anchors[1])
+    return dom_in, dom_out, p_in + side * offset / 10 ** decades
+
+
+class TestOrbitCarry:
+    """The carry back in factored form gives the value of carrying the
+    piece's image by _orbit_power exactly; floats still step bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(contractions, contractions, st.booleans(), st.sampled_from([1, -1]),
+           st.tuples(st.fractions(Q(1, 64), 4, max_denominator=64),
+                     st.fractions(Q(1, 64), 4, max_denominator=64)),
+           st.fractions(Q(1, 1000), 10, max_denominator=1000), st.integers(0, 60),
+           seed_pieces, st.booleans())
+    def test_deep_points_match_the_power(self, g_in, other, same_slope, side, anchors,
+                                         offset, decades, piece, inverse):
+        dom_in, dom_out, x = carry_case(g_in, other, same_slope, side, anchors,
+                                        offset, decades)
+        assert (carried(dom_in, dom_out, x, piece, inverse)
+                == carried_by_power(dom_in, dom_out, x, piece, inverse))
+
+    @settings(max_examples=60, deadline=None)
+    @given(contractions, contractions, st.booleans(), st.sampled_from([1, -1]),
+           st.fractions(Q(1, 64), 4, max_denominator=64),
+           st.fractions(0, Q(99, 100), max_denominator=100), st.integers(-400, 400),
+           seed_pieces, st.booleans())
+    def test_orbit_steps_match_the_power(self, g_in, other, same_slope, side, anchor,
+                                         frac, m, piece, inverse):
+        # x = g_in^m(y) for y in the domain, so the landing has k = -m
+        dom_in, dom_out, _ = carry_case(g_in, other, same_slope, side, (anchor, anchor),
+                                        1, 0)
+        y = dom_in.anchor + frac * (dom_in.image - dom_in.anchor)
+        x = steps(g_in, y, m)
+        assert _orbit_land(dom_in, x) == (y, -m)
+        assert (carried(dom_in, dom_out, x, piece, inverse)
+                == carried_by_power(dom_in, dom_out, x, piece, inverse))
+
+    @settings(max_examples=30, deadline=None)
+    @given(contractions, contractions, st.booleans(), st.sampled_from([1, -1]),
+           st.fractions(Q(1, 1000), 10, max_denominator=1000), st.integers(0, 9),
+           seed_pieces, st.booleans())
+    def test_float_points_step(self, g_in, other, same_slope, side, offset, decades,
+                               piece, inverse):
+        dom_in, dom_out, x = carry_case(g_in, other, same_slope, side,
+                                        (Q(1, 2), Q(3, 4)), offset, decades)
+        x = float(x)  # 10^-12 from a fixed point of size at most 4 stays off it
+        y, k = _orbit_land(dom_in, x)
+        # the piece's own inverse, not its inverse map, which rounds otherwise
+        z = piece.inverse(y) if inverse else piece(y)
+        value = _orbit_carry(dom_in, dom_out, x, y, k, piece, inverse)
+        assert type(value) is float and value == steps(dom_out.g, z, -k)
+
+    def test_float_inverse_is_the_pieces_own(self):
+        # with slope -3/7 the piece's inverse and its inverse map round
+        # apart at about half of all points
+        g = AffineMap(Q(99, 100), Q(1, 300))  # fixed point 1/3
+        dom = _Domain(g, Q(3, 4))
+        piece = AffineMap(Q(-3, 7), Q(1, 3))
+        rng = random.Random(5)
+        apart = 0
+        for _ in range(40):
+            x = 1 / 3 + rng.random() * 10 ** -rng.randint(1, 9)
+            y, k = _orbit_land(dom, x)
+            apart += piece.inverse(y) != piece.inverse_map()(y)
+            value = _orbit_carry(dom, dom, x, y, k, piece, inverse=True)
+            assert value == steps(g, piece.inverse(y), -k)
+        assert apart > 10
+
+    def test_generic_generator_keeps_stepping(self):
+        calls = []
+        g = counting(AffineMap(Q(1, 2), 0), calls)
+        dom = _Domain(g, Q(3, 4))
+        x = Q(3, 4 << 30)
+        y, k = _orbit_land(dom, x)
+        calls.clear()
+        piece = AffineMap(Q(1, 2), Q(3, 16))
+        assert _orbit_carry(dom, dom, x, y, k, piece) == piece(y) / 2 ** 30
+        assert calls == [1] * 30
+
+    def evaluations_at_1e40(self):
+        """r2, r3 and the self pairing of the orbit_eval benchmark, each
+        called forward and inverse 10^-40 from its attracting point."""
+        g = AffineMap(Q(99, 100), 0)
+        p = Q(31, 64)
+        gp = AffineMap(Q(99, 100), p / 100)
+        r2 = increasing_nth_root(g, 0, 1, 2, ScalarRootSeed(anchor=Q(45, 64)))
+        r3 = increasing_nth_root(g, 0, 1, 3, ScalarRootSeed(anchor=Q(50, 64)))
+        psi, _ = decreasing_square_root_pair(gp, 0, 1, seed=ScalarRootSeed(anchor=Q(3, 4)))
+        d = Q(4321, 1000) / 10 ** 41
+        calls = []
+        for m, base in ((r2, 0), (r3, 0), (psi, p)):
+            for side in ((1, -1) if base else (1,)):
+                calls += [(m, base + side * d), (m.inverse_map(), base + side * d)]
+        return calls
+
+    def test_no_gcd_of_two_large_operands(self, monkeypatch):
+        # a gcd of two numbers of ~60k bits is most of an evaluation's cost
+        # when it normalizes a product whose factors cancel
+        large = []
+        gcd = math.gcd
+
+        def watched(*args):
+            if sum(abs(a).bit_length() > 10_000 for a in args) >= 2:
+                large.append(args)
+            return gcd(*args)
+
+        calls = self.evaluations_at_1e40()
+        monkeypatch.setattr(math, "gcd", watched)
+        values = [m(x) for m, x in calls]
+        assert not large
+        assert max(v.denominator.bit_length() for v in values) > 50_000
+        # the old carry of the same point does multiply two large numbers
+        r2, x = calls[0]
+        root = r2.forward.__self__
+        y, _ = _orbit_land(root.outer, x)
+        carried_by_power(root.outer, root.outer, x, root.seed.piece(y))
+        assert large
+
+    def test_self_pairing_still_refuses_a_value_outside_its_interval(self):
+        # the seed-3 pairing of the orbit_eval benchmark: its steep seed
+        # sends p + 6517/10^5 below 0, and forward refuses the value
+        p = Q(31, 64)
+        psi, _ = decreasing_square_root_pair(AffineMap(Q(99, 100), p / 100), 0, 1,
+                                             seed=ScalarRootSeed(anchor=Q(1025, 2048)))
+        pair = psi.forward.__self__
+        x = p + Q(6517, 10 ** 5)
+        y, k = _orbit_land(pair.right, x)
+        assert k > scalar_roots._WALK  # carried in factored form
+        value = _orbit_carry(pair.right, pair.right, x, y, k, pair.seg)
+        assert value == carried_by_power(pair.right, pair.right, x, pair.seg)
+        assert value == Q(-9732853, 6600000)
+        with pytest.raises(EvaluationRangeError, match=r"-9732853/6600000 outside \[0, 1\]"):
+            psi(x)
 
 
 class TestDeepPoints:
@@ -615,9 +780,11 @@ class TestSeedMap:
         points = [*ends, *((a + b) / 2 for a, b in zip(ends, ends[1:])),
                   *((2 * a + b) / 3 for a, b in zip(ends, ends[1:])),
                   ends[0] - Q(1, 64), ends[-1] + Q(1, 64), float(ends[1]), float(ends[-1])]
+        def inverse(w):
+            return root.seed.inverse_piece(w).inverse(w)
+
         for w in points:
-            assert (outcome(root.seed.inverse, w)
-                    == outcome(seed_inverse_by_scan, root.seed, w)), w
+            assert outcome(inverse, w) == outcome(seed_inverse_by_scan, root.seed, w), w
 
 
 class TestEvaluationCache:
