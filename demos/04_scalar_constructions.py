@@ -24,9 +24,11 @@ g = AffineMap(Q(1, 4), 0)
 phi = increasing_nth_root(g, 0, Q(1, 2), 2)
 print("root of x/4      :", phi)
 
-# an irrational slope root falls back to a real closed form
+# an irrational slope root is built by the orbit engine, exact at every point
 phi3 = increasing_nth_root(AffineMap(Q(1, 3), 0), 0, 1, 2)
-print("root of x/3 at 1/3:", phi3(Q(1, 3)), "(= 3^-1.5)")
+print("root of x/3      :", phi3)
+print("root of x/3 at 1/3:", phi3(Q(1, 3)), " phi3² at 1/3 == 1/9:",
+      phi3(phi3(Q(1, 3))) == Q(1, 9))
 
 # seeds parametrize genuinely different roots with the same power
 seeded = increasing_nth_root(g, 0, Q(1, 2), 2, ScalarRootSeed(divisions=(Q(3, 10),)))

@@ -144,9 +144,10 @@ def verify_root(f: Multifunction, F: Multifunction, n: int,
 
     Exact inputs compare structurally.  Otherwise fⁿ = F is proved or
     disproved in exact arithmetic through the witnesses of f's lazy maps
-    (``core.prove_equivalent``); only when some map has none, as for
-    float-backed roots, does the check fall back to the grid, and the
-    report's detail names that map."""
+    (``core.prove_equivalent``), which every root built over rational
+    affine data carries.  Only when some map has none, as for an opaque
+    user map, does the check fall back to the grid, and the report's
+    detail names that map."""
     fn = iterate(f, n)
     if fn.is_exact and F.is_exact:
         eq = equivalent(fn, F, cfg)
@@ -500,6 +501,49 @@ def _end_orbit_certificate(n, a, j, x) -> Certificate:
     )
 
 
+def _finish_decreasing(F: Multifunction, n: int, pipeline: str, seed,
+                       construct, retry, extra) -> BuildOutcome:
+    """``_finish`` for the decreasing root with ``construct()``'s branch
+    maps.  When an image of a domain end lands on a jump (``_end_orbit_hit``),
+    ``retry(hit)`` may give another construction to try; the certificate of
+    the last hit is returned when none gets off the jumps."""
+    root_maps = construct()
+    realized = _realize_decreasing(F, root_maps, n)
+    hit = _end_orbit_hit(F, realized, n)
+    again = retry(hit) if hit is not None else None
+    if again is not None:
+        try:
+            root_maps = again()
+            realized = _realize_decreasing(F, root_maps, n)
+        except RootConstructionError:
+            return _end_orbit_certificate(n, *hit)
+        hit = _end_orbit_hit(F, realized, n)
+    if hit is not None:
+        return _end_orbit_certificate(n, *hit)
+    return _finish(F, realized, n, pipeline, "dec", {
+        "seed": _seed_to_payload(seed if seed is not DEFAULT_SEED else None),
+        **extra,
+        "maps": {str(i): _map_recipe(mp) for i, mp in sorted(root_maps.items())},
+    })
+
+
+def _pullback_hulls(branches, delta, invariant, unrouted: str):
+    """{t: (lo, hi)}: the hull of the values that the extension pulls back
+    through each invariant interval t from the intervals mapped into it."""
+    hulls: Dict[int, Tuple[Scalar, Scalar]] = {}
+    for i, br in enumerate(branches):
+        if i in invariant:
+            continue
+        t = delta[i]
+        if t not in invariant:
+            raise UnsupportedCaseError(
+                f"interval {i} maps into a non-invariant interval{unrouted}")
+        ends = sorted((br.map(br.lo), br.map(br.hi)))
+        old = hulls.get(t, ends)
+        hulls[t] = (min(old[0], ends[0]), max(old[1], ends[1]))
+    return hulls
+
+
 # ---------------------------------------------------------------------------
 # decreasing square roots of increasing targets
 # ---------------------------------------------------------------------------
@@ -532,49 +576,42 @@ def build_decreasing_square_root(F: Multifunction,
 
     branches = list(F.branches)
     table = transition_table(F)
-    # values the extension must pull back through each invariant interval
-    needed_top: Dict[int, Scalar] = {}
-    for i in range(len(branches)):
-        if i in pair_of:
-            continue
-        t = table.delta[i]
-        if t not in pair_of:
-            raise UnsupportedCaseError(
-                f"interval {i} maps into a non-invariant interval; chain "
-                "routing for decreasing roots is not constructed")
-        sup = branches[i].map(branches[i].hi)
-        if t not in needed_top or sup > needed_top[t]:
-            needed_top[t] = sup
+    hulls = _pullback_hulls(branches, table.delta, pair_of,
+                            "; chain routing for decreasing roots is not constructed")
 
-    root_maps: Dict[int, object] = {}
-    for i, j in pairing:
-        bi = branches[i]
-        if i == j:
-            psi, _ = decreasing_square_root_pair(bi.map, bi.lo, bi.hi, seed=seed,
-                                                 cover_top=needed_top.get(i))
-            root_maps[i] = psi
-        else:
-            bj = branches[j]
-            h, partner = decreasing_square_root_pair(bi.map, bi.lo, bi.hi,
-                                                     bj.map, bj.lo, bj.hi, seed=seed)
-            root_maps[i] = h
-            root_maps[j] = partner
+    def construct(self_seeds):
+        root_maps: Dict[int, object] = {}
+        for i, j in pairing:
+            bi = branches[i]
+            if i == j:
+                root_maps[i], _ = decreasing_square_root_pair(
+                    bi.map, bi.lo, bi.hi, seed=self_seeds.get(i, seed),
+                    cover_top=hulls[i][1] if i in hulls else None)
+            else:
+                bj = branches[j]
+                root_maps[i], root_maps[j] = decreasing_square_root_pair(
+                    bi.map, bi.lo, bi.hi, bj.map, bj.lo, bj.hi, seed=seed)
 
-    for i in range(len(branches)):
-        if i in root_maps:
-            continue
-        i1 = pair_of[table.delta[i]]
-        root_maps[i] = compose_maps(root_maps[i1].inverse_map(), branches[i].map)
+        for i in range(len(branches)):
+            if i in root_maps:
+                continue
+            i1 = pair_of[table.delta[i]]
+            root_maps[i] = compose_maps(root_maps[i1].inverse_map(), branches[i].map)
+        return root_maps
 
-    realized = _realize_decreasing(F, root_maps, 2)
-    hit = _end_orbit_hit(F, realized, 2)
-    if hit is not None:
-        return _end_orbit_certificate(2, *hit)
-    return _finish(F, realized, 2, "dec_square", "dec", {
-        "seed": _seed_to_payload(seed if seed is not DEFAULT_SEED else None),
-        "pairing": [[i, j] for i, j in pairing],
-        "maps": {str(i): _map_recipe(m) for i, m in sorted(root_maps.items())},
-    })
+    def retry(hit):
+        # the default self pairing sends hi onto lo, which an end's orbit
+        # hits when lo is a jump; send hi to the lowest value pulled back
+        # through the interval instead, never above g(lo) as the seed needs
+        for i, j in pairing:
+            bi = branches[i]
+            if i == j and seed.is_default and hit[2] == bi.lo:
+                y0 = min(bi.map(bi.lo), hulls[i][0]) if i in hulls else bi.map(bi.lo)
+                return functools.partial(construct, {i: ScalarRootSeed(image_anchor=y0)})
+        return None
+
+    return _finish_decreasing(F, 2, "dec_square", seed, functools.partial(construct, {}),
+                              retry, {"pairing": [[i, j] for i, j in pairing]})
 
 
 # ---------------------------------------------------------------------------
@@ -614,23 +651,9 @@ def build_decreasing_odd_root(F: Multifunction, k: int,
 
     branches = list(F.branches)
     m = (k - 1) // 2
-    # extension pullbacks run through the root square on the target
-    # interval; record the value hull each target must cover
-    hulls: Dict[int, Tuple[Scalar, Scalar]] = {}
-    for i in range(len(branches)):
-        if i in lam_set:
-            continue
-        t = table_F.delta[i]
-        if t not in lam_set:
-            raise UnsupportedCaseError(
-                f"interval {i} maps into a non-invariant interval of F²; "
-                "chain routing is not constructed")
-        ends = (branches[i].map(branches[i].lo), branches[i].map(branches[i].hi))
-        lo_v, hi_v = min(ends), max(ends)
-        if t in hulls:
-            hulls[t] = (min(hulls[t][0], lo_v), max(hulls[t][1], hi_v))
-        else:
-            hulls[t] = (lo_v, hi_v)
+    # extension pullbacks run through the root square on the target interval
+    hulls = _pullback_hulls(branches, table_F.delta, lam_set,
+                            " of F²; chain routing is not constructed")
 
     def construct(closed_form):
         odd_root, swap_maps = decreasing_odd_root, odd_swap_maps
@@ -669,24 +692,10 @@ def build_decreasing_odd_root(F: Multifunction, k: int,
                                         branches[i].map)
         return root_maps
 
-    root_maps = construct(closed_form=True)
-    realized = _realize_decreasing(F, root_maps, k)
-    hit = _end_orbit_hit(F, realized, k)
-    if hit is not None:
-        # a closed form sent a domain end onto a jump; the orbit engine
-        # pins the end's image strictly inside instead
-        try:
-            root_maps = construct(closed_form=False)
-            realized = _realize_decreasing(F, root_maps, k)
-        except RootConstructionError:
-            return _end_orbit_certificate(k, *hit)
-        hit = _end_orbit_hit(F, realized, k)
-        if hit is not None:
-            return _end_orbit_certificate(k, *hit)
-    return _finish(F, realized, k, "dec_odd", "dec", {
-        "seed": _seed_to_payload(seed if seed is not DEFAULT_SEED else None),
-        "maps": {str(i): _map_recipe(mp) for i, mp in sorted(root_maps.items())},
-    })
+    # when a closed form sends a domain end onto a jump, the orbit engine
+    # pins the end's image strictly inside instead
+    return _finish_decreasing(F, k, "dec_odd", seed, functools.partial(construct, True),
+                              lambda hit: functools.partial(construct, False), {})
 
 
 # ---------------------------------------------------------------------------
@@ -880,7 +889,9 @@ def j3_chain_report(f: Multifunction, F: Multifunction, n: int) -> J3ChainReport
 
 def rebuild_from_recipe(F: Multifunction, recipe: RootRecipe) -> RootArtifact:
     """Replay a recipe; the construction is deterministic, so the result
-    is identical to the original artifact."""
+    is identical to the original artifact.  A replay reads only the target,
+    order, seed and pairing: a recipe written while irrational slope roots
+    were float closed forms replays to the exact orbit root built now."""
     seed = seed_from_payload(recipe.payload.get("seed"))
     if recipe.pipeline == "increasing":
         outcome = build_increasing_root(F, recipe.order, seed=seed)

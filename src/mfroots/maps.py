@@ -106,10 +106,7 @@ class Guard:
 def _unwitnessed(recipe) -> str:
     while recipe and recipe[0] == "inverse":
         recipe = recipe[1]
-    kind = recipe[0] if recipe else "opaque map"
-    if kind.startswith("affine_real_"):
-        return f"irrational slope root of slope {recipe[1]} ({kind})"
-    return f"no exact witness for {kind}"
+    return f"no exact witness for {recipe[0] if recipe else 'opaque map'}"
 
 
 @dataclass(frozen=True)
@@ -126,7 +123,7 @@ class GenericMap:
     backward: Callable[[Scalar], Scalar]
     recipe: Tuple = ()
     # answers breaks/limits/germ for ``forward``; None when no exact
-    # description exists (float-backed and opaque maps)
+    # description exists (opaque maps)
     witness: object = field(default=None, compare=False, repr=False)
 
     @property

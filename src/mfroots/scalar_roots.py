@@ -2,15 +2,16 @@
 
 All constructions share one engine: pick a fundamental domain of the
 orbit structure, seed it with a piecewise-linear map, and extend along
-orbits by conjugation.  An affine map may instead take the affine root
-that keeps its fixed point (``_affine_root``: exact when the slope root
-is rational, float-backed otherwise), which ``_closed_form`` accepts only
-when it meets the requirements the engine would pin.  Lazy evaluation
-stays exact-rational pointwise when the underlying map is affine over
-the rationals.  A lazy evaluation k orbit steps from the fundamental
-domain costs a number of exact operations logarithmic in k when the
-orbit's generator is an exact affine map (g^k(x) = p + s^k (x - p) in
-closed form), and k single steps for generic generators and float points.
+orbits by conjugation.  An affine map whose slope has a rational n-th
+root may instead take the affine root that keeps its fixed point
+(``_affine_root``), which ``_closed_form`` accepts only when it meets the
+requirements the engine would pin; an irrational slope root is always
+left to the engine.  Lazy evaluation stays exact-rational pointwise when
+the underlying map is affine over the rationals.  A lazy evaluation k
+orbit steps from the fundamental domain costs a number of exact
+operations logarithmic in k when the orbit's generator is an exact affine
+map (g^k(x) = p + s^k (x - p) in closed form), and k single steps for
+generic generators and float points.
 
 Each lazy map built over exact affine data carries a witness
 (``_OrbitWitness``, r∘W∘r for a root mirrored by r, or the ``GluedMap``
@@ -629,27 +630,19 @@ def _glued(q_in, q_out, left, right, recipe) -> GenericMap:
 def _affine_root(g: AffineMap, n: int, orientation: Orientation):
     """The affine n-th root of g with the given orientation that keeps g's
     fixed point p: x ↦ p + a(x − p) with a = ±|s|^(1/n) for g's slope s.
-    Exact when |s|^(1/n) is rational, float-backed otherwise; None for an
-    increasing root of a map with s <= 0."""
+    None when |s|^(1/n) is irrational, where the orbit engine builds an
+    exact root instead, and for an increasing root of a map with s <= 0."""
     s = g.slope
     if orientation is INC and s <= 0:
         return None
     if s == 1:  # a translation: only increasing roots are asked of one
         return AffineMap(Fraction(1), g.intercept / n)
-    p = g.fixed_point()
-    sign = 1 if orientation is INC else -1
     alpha = rational_nth_root(abs(s), n)
-    if alpha is not None:
-        return AffineMap(sign * alpha, p * (1 - sign * alpha))
-    a, c = sign * abs(float(s)) ** (1.0 / n), float(p)
-    if orientation is INC:
-        recipe = ("affine_real_root", format_scalar(s), format_scalar(p), n)
-    elif n == 2:
-        recipe = ("affine_real_sqrt_dec", format_scalar(s), format_scalar(p))
-    else:
-        recipe = ("affine_real_odd_root", format_scalar(s), format_scalar(g.intercept), n)
-    return GenericMap(orientation, lambda x: c + a * (float(x) - c),
-                      lambda w: c + (float(w) - c) / a, recipe)
+    if alpha is None:
+        return None
+    p = g.fixed_point()
+    a = alpha if orientation is INC else -alpha
+    return AffineMap(a, p * (1 - a))
 
 
 def _closed_form(g, n, lo, hi, cover=None, confine=None, floor_last=None,
@@ -1105,6 +1098,10 @@ def odd_swap_maps(A, lo_a: Scalar, hi_a: Scalar, B, lo_b: Scalar, hi_b: Scalar,
     cover_alpha/cover_beta widen the coverage requirement on phi^m so that
     extensions can pull further values back through the root's square
     (alpha-side needs are transported through A).
+
+    Raises IncompatiblePatternError when A∘B repels from a fixed point
+    inside beta: no orbit root serves it, and no affine root both covers
+    A's range with phi^m and keeps phi^{m+1} inside it.
     """
     return _odd_swap_maps(A, lo_a, hi_a, B, lo_b, hi_b, k, seed,
                           cover_alpha, cover_beta)

@@ -67,9 +67,10 @@ class TestIncreasingBuilder:
     def test_tail_jump_value(self):
         art = build_increasing_root(tail_jump_target(), 2)
         value = art.realized.jumps[0].value
-        assert abs(float(value.min_value) - 3 ** -0.5) < 1e-12
+        # the exact orbit root of x/3 sends 1 to 2/3
+        assert value.min_value == Q(2, 3)
         assert value.max_value == 1
-        assert art.verification.passed
+        assert art.verification.passed and art.verification.exact
 
     def test_noncompact_rejected(self):
         with pytest.raises(NonCompactJumpValueError):

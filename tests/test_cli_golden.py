@@ -9,7 +9,8 @@ for a deliberate output change:
 
 ``golden/cli_root_grid.json`` keeps the output from before lazy roots
 were verified exactly, when every root over a lazy map was checked on a
-grid; the two files may differ only where such a root became exact.
+grid, and irrational slope roots were float-backed closed forms; the two
+files may differ only where such a root became exact.
 """
 
 from __future__ import annotations
@@ -33,6 +34,11 @@ BECAME_EXACT = ("root absorbing_target --order 3 --monotone inc",
                 "root dec_cube_root --order 3 --monotone dec",
                 "root endpoint_target --order 2 --monotone inc",
                 "root endpoint_target --order 3 --monotone inc")
+# irrational slope roots: the float closed form gave way to the exact
+# orbit root, with other preview values and recipe
+BECAME_ORBIT = ("root square_target --order 3 --monotone inc",
+                "root tail_jump_target --order 2 --monotone inc",
+                "root tail_jump_target --order 3 --monotone inc")
 CASES = [(path.stem, order, monotone)
          for path in sorted(DATA.glob("*.mf"))
          for order in (2, 3)
@@ -78,22 +84,32 @@ def test_only_lazy_rational_roots_became_exact(golden):
     changed = {}
     for key in grid:
         old, new = grid[key], golden[key]
-        assert {f: v for f, v in old.items() if f != "stdout"} == \
-            {f: v for f, v in new.items() if f != "stdout"}, key
+        kept = ("code", "stderr") if key in BECAME_ORBIT else ("code", "stderr", "mfr")
+        assert {f: old[f] for f in kept} == {f: new[f] for f in kept}, key
         old_lines, new_lines = old["stdout"].splitlines(), new["stdout"].splitlines()
         assert len(old_lines) == len(new_lines), key
         diff = [(a, b) for a, b in zip(old_lines, new_lines) if a != b]
         if diff:
             changed[key] = diff
-    assert sorted(changed) == sorted(BECAME_EXACT)
+    assert sorted(changed) == sorted(BECAME_EXACT + BECAME_ORBIT)
     for key, diff in changed.items():
         order = key.split("--order ")[1][0]
-        assert diff == [(f"verified: order {order}, grid maxdev 0.000e+00",
-                         f"verified: order {order}, exact")], key
-    # float-backed roots stay on the grid
+        verified = f"verified: order {order}, exact"
+        if key in BECAME_EXACT:
+            assert diff == [(f"verified: order {order}, grid maxdev 0.000e+00",
+                             verified)], key
+            continue
+        # the verified line, then preview values at the same points and jumps
+        (old_verified, new_verified), *values = diff
+        assert old_verified.startswith(f"verified: order {order}, grid maxdev "), key
+        assert new_verified == verified, key
+        for a, b in values:
+            assert a.split()[:-1] == b.split()[:-1], key
+        assert "affine_real_root" in grid[key]["mfr"], key
+        assert "orbit_root" in golden[key]["mfr"], key
+    # every root is verified exactly
     for key, case in golden.items():
-        if "grid maxdev" in case["stdout"]:
-            assert "maxdev 0.000e+00" not in case["stdout"], key
+        assert "grid maxdev" not in case["stdout"], key
 
 
 if __name__ == "__main__":

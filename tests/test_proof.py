@@ -2,7 +2,7 @@
 
 The proof must agree with the grid wherever both apply, must never pass a
 root whose data were perturbed, and must leave the grid only to roots
-that hold a float-backed map, saying so in the report.
+that hold an opaque map without a witness, saying so in the report.
 """
 
 import random
@@ -71,37 +71,25 @@ def build(kind, seed, n=2):
     return F, 3, build_decreasing_odd_root(F, 3)
 
 
-def float_backed(m) -> bool:
-    """Whether a map holds a float-backed root anywhere inside it."""
-    if isinstance(m, ComposedMap):
-        return any(float_backed(a) for a in m.maps)
-    if isinstance(m, GenericMap):
-        recipe = m.recipe
-        while recipe and recipe[0] == "inverse":
-            recipe = recipe[1]
-        if recipe and recipe[0].startswith("affine_real_"):
-            return True
-        return m.witness is not None and hasattr(m.witness, "pieces") and any(
-            float_backed(p) for p in m.witness.pieces)
-    return hasattr(m, "pieces") and any(float_backed(p) for p in m.pieces)
+def float_root() -> GenericMap:
+    """An opaque user map without a witness: the square root x/√2 of x/2."""
+    a = 0.5 ** 0.5
+    return GenericMap(mf.INC, lambda x: a * float(x), lambda w: float(w) / a,
+                      ("user sqrt",))
 
 
 class TestAgainstGrid:
-    """Every exact pass also passes the grid with deviation 0, and every
-    root without a float-backed map is verified exactly."""
+    """Every built root is verified exactly, is validated from its witnesses
+    without sampling, and passes the grid with deviation 0."""
 
     def check(self, F, n, art):
         if not isinstance(art, RootArtifact):
             return
         v = art.verification
-        assert v.passed
-        floats = any(float_backed(br.map) for br in art.realized.branches)
-        assert v.exact is not floats, v
-        if v.exact:
-            grid = equivalent(iterate(art.realized, n), F)
-            assert grid.equal and grid.max_deviation == 0, grid
-        else:
-            assert "irrational slope root" in v.detail
+        assert v.passed and v.exact, v
+        assert art.realized.validate().sampled == ()
+        grid = equivalent(iterate(art.realized, n), F)
+        assert grid.equal and grid.max_deviation == 0, grid
 
     @settings(max_examples=8, deadline=None)
     @given(seed=st.integers(0, 10_000), n=st.sampled_from([2, 3]))
@@ -124,12 +112,13 @@ class TestAgainstGrid:
 # ---------------------------------------------------------------------------
 
 def exact_roots(kind, n=2, count=6):
-    """Built roots (F, n, artifact) verified exactly: roots over float maps
-    are checked on the grid, which a perturbation of 2^-40 passes."""
+    """Built roots (F, n, artifact); each must be verified exactly, since a
+    grid check passes a perturbation of 2^-40."""
     out = []
     for seed in range(count):
         F, k, art = build(kind, seed, n)
-        if isinstance(art, RootArtifact) and art.verification.exact:
+        if isinstance(art, RootArtifact):
+            assert art.verification.exact, art.verification
             out.append((F, k, art))
     return out
 
@@ -303,18 +292,17 @@ class TestWitnesses:
         assert right[1].generators(Q(1, 2)) == (g, g)
 
     def test_float_root_names_itself(self):
-        real = increasing_nth_root(AffineMap(Q(1, 2), 0), 0, 1, 2)
-        assert real.recipe[0] == "affine_real_root"
-        with pytest.raises(NoExactProofError, match="irrational slope root of slope 1/2"):
+        # the library builds no float root; a user's opaque one has no witness
+        real = float_root()
+        with pytest.raises(NoExactProofError, match="no exact witness for user sqrt"):
             real.breaks(Q(1, 2), 1)
-        with pytest.raises(NoExactProofError, match="irrational slope root"):
+        with pytest.raises(NoExactProofError, match="no exact witness for user sqrt"):
             real.inverse_map().limits(0, 1)
         F = Multifunction.build(0, 1, [(0, 1, Q(1, 2), 0)])
         f = Multifunction(F.domain, mf.INC, (Branch(0, 1, real),), ())
         report = verify_root(f, F, 2)
         assert report.passed and not report.exact
-        assert report.detail == ("grid comparison (irrational slope root of slope 1/2 "
-                                 "(affine_real_root))")
+        assert report.detail == "grid comparison (no exact witness for user sqrt)"
 
     def test_lazy_root_is_proved(self):
         phi = self.quarter_root()
@@ -453,8 +441,7 @@ class TestProvenValidation:
             assert report.ok and report.sampled == (), report
 
     def test_float_root_is_sampled(self):
-        real = increasing_nth_root(AffineMap(Q(1, 2), 0), 0, 1, 2)
-        report = one_branch(real).validate()
+        report = one_branch(float_root()).validate()
         assert report.ok and report.sampled == (0,)
         assert report.summary() == "valid"
         bent = GenericMap(mf.INC, lambda x: (float(x) - 0.5) ** 2,

@@ -56,8 +56,11 @@ class TestIncreasingRoot:
         assert phi == AffineMap(Q(1, 2), 0)
 
     def test_irrational_slope_closed_form(self):
+        # no closed form: the orbit root is exact at every point
         phi = increasing_nth_root(AffineMap(Q(1, 3), 0), 0, 1, 2)
-        assert abs(phi(Q(1, 3)) - 3 ** -1.5) < 1e-12
+        assert phi.recipe[0] == "orbit_root"
+        for x in GRID[::37]:
+            assert phi(phi(x)) == x / 3
 
     def test_custom_divisions_still_a_root(self):
         seed = ScalarRootSeed(divisions=(Q(3, 10),))
@@ -681,21 +684,31 @@ class TestClosedForm:
         assert phi(g.fixed_point()) == g.fixed_point()
 
     @pytest.mark.parametrize("g, n, orientation, recipe", [
-        (AffineMap(Q(1, 2), Q(1, 4)), 2, mf.INC, ("affine_real_root", "1/2", "1/2", 2)),
-        (AffineMap(Q(1, 3), Q(1, 3)), 3, mf.INC, ("affine_real_root", "1/3", "1/2", 3)),
-        (AffineMap(Q(1, 3), Q(1, 9)), 2, mf.DEC, ("affine_real_sqrt_dec", "1/3", "1/6")),
-        (AffineMap(Q(-1, 4), Q(13, 16)), 3, mf.DEC,
-         ("affine_real_odd_root", "-1/4", "13/16", 3)),
-        (AffineMap(Q(-1, 2), Q(3, 4)), 5, mf.DEC,
-         ("affine_real_odd_root", "-1/2", "3/4", 5)),
+        (AffineMap(Q(1, 2), Q(1, 4)), 2, mf.INC, ("orbit_root", 2, "1", ("7/8",))),
+        (AffineMap(Q(1, 3), Q(1, 3)), 3, mf.INC, ("orbit_root", 3, "1", ("8/9", "7/9"))),
+        (AffineMap(Q(1, 3), Q(1, 9)), 2, mf.DEC, ("self_pair_sqrt", "1", "0")),
+        (AffineMap(Q(-1, 4), Q(13, 16)), 3, mf.DEC, ("dec_glue", "13/20")),
+        (AffineMap(Q(-1, 2), Q(3, 4)), 5, mf.DEC, ("dec_glue", "1/2")),
     ])
     def test_float_backed(self, g, n, orientation, recipe):
-        phi = scalar_roots._affine_root(g, n, orientation)
+        """An irrational slope root has no closed form: the public entry
+        point builds the exact orbit root (on [p, 1] above the fixed point
+        p when increasing, on [0, 1] when decreasing)."""
+        assert scalar_roots._affine_root(g, n, orientation) is None
+        if orientation is mf.INC:
+            lo = g.fixed_point()
+            phi = increasing_nth_root(g, lo, 1, n)
+        elif n == 2:
+            lo = 0
+            phi, _ = decreasing_square_root_pair(g, 0, 1)
+        else:
+            lo = 0
+            phi = decreasing_odd_root(g, 0, 1, n)
         assert isinstance(phi, GenericMap) and phi.orientation is orientation
-        assert phi.recipe == recipe
-        pts = GRID[::97]
-        assert max_dev(nfold(phi, n), g, pts) <= 1e-12
-        assert max_dev(lambda x: phi.inverse(phi(x)), lambda x: x, pts) <= 1e-12
+        assert phi.recipe == recipe and phi.witness is not None
+        pts = [lo + (1 - lo) * x for x in GRID[::97]]
+        assert all(iterate_map(phi, n)(x) == g(x) for x in pts)
+        assert all(phi.inverse(phi(x)) == x for x in pts)
 
     def test_no_increasing_root_of_a_decreasing_map(self):
         assert scalar_roots._affine_root(AffineMap(Q(-1, 4), 0), 2, mf.INC) is None
