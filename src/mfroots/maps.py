@@ -10,12 +10,12 @@ Maps also report their pieces, for exact proofs of equalities:
 affine, ``limits(lo, hi)`` the points of [lo, hi] where such points
 accumulate, and ``germ(z, side)`` the chain of primitive maps the map
 equals just above (side 1) or just below (side -1) z.  A primitive is an
-``AffineMap`` or an orbit witness (a lazy map that commutes with affine
-generators, see ``scalar_roots``); ``Guard`` items in a germ hold the
-knots that the image of the neighbourhood must not cross.  Affine,
-composed and glued maps answer from their structure; a generic map
-answers through the witness its constructor attached, and raises
-``NoExactProofError`` naming the map when it has none.
+``AffineMap`` or an orbit map (a lazy map that commutes with affine
+generators and is its own witness, see ``scalar_roots``); ``Guard``
+items in a germ hold the knots that the image of the neighbourhood must
+not cross.  Affine, composed and glued maps answer from their structure;
+a generic map answers through the witness its constructor attached, and
+raises ``NoExactProofError`` naming the map when it has none.
 """
 
 from __future__ import annotations

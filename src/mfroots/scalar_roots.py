@@ -13,13 +13,17 @@ operations logarithmic in k when the orbit's generator is an exact affine
 map (g^k(x) = p + s^k (x - p) in closed form), and k single steps for
 generic generators and float points.
 
-Each lazy map built over exact affine data carries a witness
-(``_OrbitWitness``, r∘W∘r for a root mirrored by r, or the ``GluedMap``
-of a glued map) that lets ``core.prove_equivalent`` check identities
-exactly: the map commutes with its generators, f∘g_in = g_out∘f, it fixes
-the structure at the attracting point of g_in, and it is affine between
-the orbit images of its knots.  The witness reads the same seed data the
-evaluation uses.
+Every lazy map is built from ``_OrbitMap``, one direction of which lands
+its argument in a fundamental domain of g_in, applies the seed piece, and
+carries the value back along g_out, so f∘g_in = g_out∘f.  Its inverse is
+the partner direction, built once, which reads the same seed.  The orbit
+root and the orbit conjugacy are its two constructors; a mirrored root is
+r∘f∘r for the reflection r, and a self pairing glues the orbit map ψ from
+one side of the fixed point to the other with ψ⁻¹∘g.  Over exact affine
+data an orbit map is its own witness for ``core.prove_equivalent``: it
+commutes with its generators, it sends the attracting point of g_in to
+that of g_out, and it is affine between the orbit images of its seed's
+knots; a composition or glue of orbit maps is proved through them.
 """
 
 from __future__ import annotations
@@ -66,7 +70,9 @@ class ScalarRootSeed:
     """Free data of a fundamental-domain construction.
 
     anchor: where the fundamental domain is pinned (defaults to the outer
-    end of the attraction basin); divisions: explicit subdivision points;
+    end of the attraction basin); divisions: explicit subdivision points
+    t_1, ..., t_{n-1}, the images of the anchor under the root's powers, in
+    the caller's frame also where the root is built reflected;
     image_anchor: where the anchor is sent (pairings/conjugacies);
     affine: (slope, intercept) requesting an explicit affine seed segment.
     Linear interpolation throughout.
@@ -133,12 +139,18 @@ def map_pattern(g, lo: Scalar, hi: Scalar, samples: int = 65) -> MapPattern:
         return MapPattern("identity")
     crossings = [i for i in range(len(signs) - 1)
                  if signs[i] * signs[i + 1] < 0]
-    if not crossings:
+    # a sample on the fixed point itself, between opposite signs
+    zeros = [i for i in range(1, len(signs) - 1)
+             if signs[i] == 0 and signs[i - 1] * signs[i + 1] < 0]
+    if not crossings and not zeros:
         if any(s > 0 for s in signs) and any(s < 0 for s in signs):
             raise IncompatiblePatternError("diagonal pattern not resolvable by sampling")
         return MapPattern("below" if any(s < 0 for s in signs) else "above")
-    if len(crossings) > 1:
+    if len(crossings) + len(zeros) > 1:
         raise IncompatiblePatternError("multiple interior fixed points")
+    if zeros:
+        i = zeros[0]
+        return MapPattern("interior", pts[i], attracting=signs[i - 1] > 0)
     i = crossings[0]
     return MapPattern("interior", _crossing(g, pts[i], pts[i + 1], signs[i]),
                       attracting=signs[i] > 0)
@@ -236,10 +248,10 @@ def _divisions(x0, gx0, n, custom=None, floor_last=None, pins=()):
 
 
 class _SeedMap:
-    """Piecewise increasing bijection given by ordered pieces (lo, hi, map);
-    the ends of the piece images, taken once, are in the same order.  It
-    answers which piece holds a point or a value; the orbit carry applies
-    the piece."""
+    """Piecewise monotone bijection given by ordered pieces (lo, hi, map):
+    increasing pieces, or one decreasing piece; the ends of the piece
+    images, taken once, are in the same order.  It answers which piece
+    holds a point or a value; the orbit carry applies the piece."""
 
     def __init__(self, pieces):
         self.pieces = pieces
@@ -387,58 +399,6 @@ def _exact_generator(g, fixed) -> bool:
             and is_exact(fixed) and g(fixed) == fixed)
 
 
-class _OrbitWitness:
-    """Witness of one evaluation direction of a lazy orbit map f.
-
-    f∘g_in = g_out∘f holds wherever f is evaluated, because f lands its
-    argument in a fundamental domain along the orbit of g_in and carries
-    the result back along g_out; f sends the attracting point ``fixed`` of
-    g_in to that of g_out; and ``knot_breaks(lo, hi)`` lists the points of
-    (lo, hi) between which f is affine, for [lo, hi] away from ``fixed``.
-    ``partner`` is the witness of the inverse direction."""
-
-    def __init__(self, name, fn, orientation, fixed, g_in, g_out, knot_breaks):
-        self.name, self.fn, self.orientation = name, fn, orientation
-        self.fixed, self.g_in, self.g_out = fixed, g_in, g_out
-        self.knot_breaks = knot_breaks
-        self.partner = None
-
-    def __call__(self, x):
-        return self.fn(x)
-
-    def breaks(self, lo, hi) -> tuple:
-        if lo <= self.fixed <= hi:
-            raise NoExactProofError(
-                f"{self.name}: pieces accumulate at {format_scalar(self.fixed)}")
-        return tuple(self.knot_breaks(lo, hi))
-
-    def limits(self, lo, hi) -> tuple:
-        return (self.fixed,) if lo <= self.fixed <= hi else ()
-
-    def germ(self, z, side) -> list:
-        return [self]
-
-    def generators(self, z):
-        """(g_in, g_out) when z is the attracting point, else None."""
-        return (self.g_in, self.g_out) if z == self.fixed else None
-
-    def inverse_map(self):
-        return self.partner
-
-    def __repr__(self):
-        return f"{self.name} witness"
-
-
-def _witness_pair(name, orientation, forward, inverse, fixed_in, fixed_out,
-                  g_in, g_out, forward_breaks, inverse_breaks) -> _OrbitWitness:
-    fwd = _OrbitWitness(name, forward, orientation, fixed_in, g_in, g_out,
-                        forward_breaks)
-    inv = _OrbitWitness(f"inverse {name}", inverse, orientation, fixed_out,
-                        g_out, g_in, inverse_breaks)
-    fwd.partner, inv.partner = inv, fwd
-    return fwd
-
-
 def _in_range(x, lo, hi):
     """x itself when it lies in [lo, hi]; orbit maps never extrapolate."""
     if not lo <= x <= hi:
@@ -468,10 +428,10 @@ _MISSING = object()
 
 @contextlib.contextmanager
 def evaluation_cache():
-    """Memoize the exact evaluations of the lazy maps (orbit roots, their
-    mirrors, orbit conjugacies and self pairings) inside the block, which
-    asks the same maps at the same points again and again; the memo is
-    dropped when the block ends, also when it raises."""
+    """Memoize the exact evaluations of the lazy orbit maps (both
+    directions of each ``_OrbitMap``) inside the block, which asks the
+    same maps at the same points again and again; the memo is dropped when
+    the block ends, also when it raises."""
     token = _EVALUATIONS.set({})
     try:
         yield
@@ -497,26 +457,56 @@ def _memoized(method):
 
 
 # ---------------------------------------------------------------------------
-# the orbit root (down-attracting normal form)
+# the lazy orbit map
 # ---------------------------------------------------------------------------
 
-class OrbitRoot:
-    """n-th iterative root of g on [u, v] where g(x) < x on (u, v),
-    g(u) = u, built from a seeded fundamental domain [g(x0), x0].
+class _OrbitMap:
+    """One direction of a lazy map f with f∘g_in = g_out∘f.
 
-    phi maps [t_i, t_{i-1}] onto [t_{i+1}, t_i] by the seed pieces; the
-    bottom piece is forced to g ∘ (chain)^{-1}; elsewhere evaluation
-    normalizes into the fundamental domain along the g-orbit and maps back.
-    """
+    f lands its argument in the fundamental domain ``land`` of g_in along
+    the g_in-orbit, applies the seed piece that holds the landed point, and
+    carries the value back along the g_out-orbit (``carry``).  ``partner``,
+    built once with the map, is the inverse direction: it reads the same
+    seed through ``inverse_piece``, lands in ``carry``, the domain anchored
+    at the image of the anchor, and carries along ``land``.  ``ends`` are
+    the (point, value) pairs taken exactly, the attracting point of g_in
+    first; ``checks`` holds, for this direction and then for its partner,
+    the closed intervals (or None) outside which an argument and a value
+    are refused.
 
-    def __init__(self, g, u, v, n, anchor=None, divisions=None,
-                 floor_last=None, pins=()):
+    When ``exact`` (exact affine generators and knots) the map is its own
+    witness: it commutes with its generators, it sends the attracting point
+    of g_in to that of g_out, and it is affine between the orbit images of
+    its seed's knots."""
+
+    def __init__(self, name, orientation, seed: _SeedMap, land: _Domain, carry: _Domain,
+                 ends, exact, recipe=(), checks=((None, None), (None, None)), partner=None):
+        self.name, self.orientation, self.exact, self.recipe = name, orientation, exact, recipe
+        self.seed, self.land, self.carry, self.ends = seed, land, carry, ends
+        (self.args, self.values), back = checks
+        self.inverted = partner is not None
+        self.partner = partner or _OrbitMap(
+            f"inverse {name}", orientation, seed, carry, land, tuple((b, a) for a, b in ends),
+            exact, checks=(back, checks[0]), partner=self)
+
+    @classmethod
+    def root(cls, g, u, v, n, seed: ScalarRootSeed = DEFAULT_SEED, floor_last=None,
+             cover=None, confine=None):
+        """n-th iterative root of g on [u, v], where g(x) < x on (u, v) and
+        g(u) = u, seeded on the fundamental domain [g(x0), x0] with knots
+        x0 = t_0 > t_1 > ... > t_n = g(x0): the root maps [t_i, t_{i-1}]
+        onto [t_{i+1}, t_i] affinely, and its bottom piece is forced to
+        g ∘ (chain)^{-1}.  The upper bounds of the coverage and the
+        confinement (power, lo, hi) of [u, v]'s image under the root's
+        power pin divisions (``_divisions``)."""
+        anchor = seed.anchor
+        pins = [(t[0], t[2], sense) for t, sense in ((cover, "ge"), (confine, "lt"))
+                if t is not None and t[2] is not None]
         if n < 2:
             raise MfError("orbit root needs order >= 2")
         if g(u) != u:
             raise IncompatiblePatternError(
                 f"attracting end {format_scalar(u)} must be fixed")
-        self.g, self.u, self.v, self.n = g, u, v, n
         top_fixed = g(v) == v
         if top_fixed:
             # both ends fixed: the orbit extension is onto, pins are moot
@@ -525,12 +515,10 @@ class OrbitRoot:
             anchor = (u + v) / 2 if top_fixed else v
         if not u < anchor <= v or g(anchor) == anchor:
             raise BadSeedError(f"anchor {format_scalar(anchor)} unusable")
-        self.x0 = anchor
-        self.outer = _Domain(g, anchor)  # the seed domain [g(x0), x0]
-        self.gx0 = self.outer.image
-        self.divs = _divisions(self.x0, self.gx0, n, divisions,
-                               floor_last=floor_last, pins=pins)
-        knots = (self.x0, *self.divs, self.gx0)  # t_0 > t_1 > ... > t_n
+        outer = _Domain(g, anchor)  # the seed domain [g(x0), x0]
+        divs = _divisions(anchor, outer.image, n, seed.divisions,
+                          floor_last=floor_last, pins=pins)
+        knots = (anchor, *divs, outer.image)
         pieces = []
         chain = AffineMap(Fraction(1), Fraction(0))
         for i in range(n - 1):
@@ -538,93 +526,95 @@ class OrbitRoot:
             pieces.append((knots[i + 1], knots[i], seg))
             chain = compose_maps(seg, chain)
         # bottom piece [t_n, t_{n-1}] -> g([t_1, t_0]) via the chain inverse
-        bottom = compose_maps(g, chain.inverse_map())
-        pieces.append((knots[n], knots[n - 1], bottom))
+        pieces.append((knots[n], knots[n - 1], compose_maps(g, chain.inverse_map())))
         pieces.sort(key=lambda p: p[0])
-        self.seed = _SeedMap(pieces)
-        self.t1 = knots[1]
-        self.inner = _Domain(g, self.t1)  # its image under the root
+        exact = _exact_generator(g, u) and all(map(is_exact, knots[:-1]))
+        recipe = ("orbit_root", n, format_scalar(anchor), tuple(map(format_scalar, divs)))
+        return cls("orbit root", INC, _SeedMap(pieces), outer, _Domain(g, knots[1]),
+                   ((u, u), (v, v)) if top_fixed else ((u, u),), exact, recipe,
+                   (((u, v), None), ((u, v), (u, v))))
+
+    @classmethod
+    def conjugacy(cls, g1, u1, v1, g2, u2, v2, seed: ScalarRootSeed):
+        """h on [u1, v1] with h∘g1 = g2∘h between two below-diagonal
+        increasing maps, sending [g1(x1), x1] affinely onto [g2(x2), x2]
+        for the seed's anchor x1 (v1 by default) and image anchor x2 (v2)."""
+        x1 = v1 if seed.anchor is None else seed.anchor
+        x2 = v2 if seed.image_anchor is None else seed.image_anchor
+        if not (u1 < x1 <= v1 and u2 < x2 <= v2):
+            raise BadSeedError("conjugacy anchors outside the intervals")
+        dom1, dom2 = _Domain(g1, x1), _Domain(g2, x2)
+        seg = _affine_through(dom1.image, dom2.image, x1, x2)
+        exact = (_exact_generator(g1, u1) and _exact_generator(g2, u2)
+                 and is_exact(x1) and is_exact(x2))
+        return cls("orbit conjugacy", INC, _SeedMap([(dom1.image, x1, seg)]), dom1, dom2,
+                   ((u1, u2),), exact,
+                   ("orbit_conjugacy", format_scalar(x1), format_scalar(x2)),
+                   (((u1, v1), None), (None, (u1, v1))))
 
     @_memoized
-    def forward(self, x):
-        if x == self.u:
-            return self.u
-        if x == self.v and self.g(self.v) == self.v:
-            return self.v
-        x = _in_range(x, self.u, self.v)
-        y, k = _orbit_land(self.outer, x)
-        return _orbit_carry(self.outer, self.outer, x, y, k, self.seed.piece(y))
+    def __call__(self, x):
+        for a, b in self.ends:
+            if x == a:
+                return b
+        if self.args is not None:
+            _in_range(x, *self.args)
+        y, k = _orbit_land(self.land, x)
+        piece = self.seed.inverse_piece(y) if self.inverted else self.seed.piece(y)
+        value = _orbit_carry(self.land, self.carry, x, y, k, piece, self.inverted)
+        return value if self.values is None else _preimage_in(x, value, *self.values)
 
-    @_memoized
     def inverse(self, w):
-        if w == self.u:
-            return self.u
-        if w == self.v and self.g(self.v) == self.v:
-            return self.v
-        if not self.u <= w <= self.v:
-            raise EvaluationRangeError(f"{format_scalar(w)} outside the root range")
-        y, k = _orbit_land(self.inner, w)
-        x = _orbit_carry(self.inner, self.inner, w, y, k, self.seed.inverse_piece(y),
-                         inverse=True)
-        if x > self.v or x < self.u:
-            raise EvaluationRangeError(
-                f"{format_scalar(w)} has no root preimage inside the interval")
-        return x
+        return self.partner(w)
 
-    def _forward_breaks(self, lo, hi):
-        # the seed's piece ends and the anchor, carried along the orbit
-        return _orbit_points(self.outer, (*self.seed.los, self.seed.top), lo, hi)
-
-    def _inverse_breaks(self, lo, hi):
-        # the ends of the seed pieces' images, carried along the orbit
-        ends = {m(x) for a, b, m in self.seed.pieces for x in (a, b)}
-        return _orbit_points(self.inner, (self.t1, *ends), lo, hi)
-
-    def witness(self):
-        knots = (self.u, self.x0, *self.divs)
-        if not (_exact_generator(self.g, self.u) and all(map(is_exact, knots))):
-            return None
-        return _witness_pair("orbit root", INC, self.forward, self.inverse,
-                             self.u, self.u, self.g, self.g,
-                             self._forward_breaks, self._inverse_breaks)
+    def inverse_map(self) -> "_OrbitMap":
+        return self.partner
 
     def as_map(self) -> GenericMap:
-        recipe = ("orbit_root", self.n, format_scalar(self.x0),
-                  tuple(format_scalar(d) for d in self.divs))
-        return GenericMap(INC, self.forward, self.inverse, recipe, self.witness())
+        return GenericMap(self.orientation, self, self.partner, self.recipe,
+                          self if self.exact else None)
+
+    def breaks(self, lo, hi) -> tuple:
+        fixed = self.ends[0][0]
+        if lo <= fixed <= hi:
+            raise NoExactProofError(
+                f"{self.name}: pieces accumulate at {format_scalar(fixed)}")
+        # the ends of the seed's pieces, or of their images, along the orbit
+        seed = self.seed
+        knots = {*seed.img_los, *seed.img_his} if self.inverted else (*seed.los, seed.top)
+        return tuple(_orbit_points(self.land, knots, lo, hi))
+
+    def limits(self, lo, hi) -> tuple:
+        fixed = self.ends[0][0]
+        return (fixed,) if lo <= fixed <= hi else ()
+
+    def germ(self, z, side) -> list:
+        return [self]
+
+    def generators(self, z):
+        """(g_in, g_out) when z is the attracting point, else None."""
+        return (self.land.g, self.carry.g) if z == self.ends[0][0] else None
+
+    def __repr__(self):
+        return self.name
 
 
-class _MirroredRoot:
-    """Root of an up-attracting map obtained by reflecting a normal form."""
+# evaluations of a composed or glued lazy map, memoized as an orbit map's
+_forward = _memoized(lambda m, x: m(x))
+_backward = _memoized(lambda m, w: m.inverse(w))
 
-    def __init__(self, base: OrbitRoot, pivot):
-        self.base, self.pivot = base, pivot
 
-    @_memoized
-    def forward(self, x):
-        return self.pivot - self.base.forward(self.pivot - x)
-
-    @_memoized
-    def inverse(self, w):
-        return self.pivot - self.base.inverse(self.pivot - w)
-
-    def witness(self):
-        base = self.base.witness()
-        if base is None or not is_exact(self.pivot):
-            return None
-        r = AffineMap(Fraction(-1), self.pivot)
-        return compose_maps(r, base, r)
-
-    def as_map(self) -> GenericMap:
-        recipe = ("mirrored", format_scalar(self.pivot), self.base.as_map().recipe)
-        return GenericMap(INC, self.forward, self.inverse, recipe, self.witness())
+def _lazy(m, recipe, exact) -> GenericMap:
+    """The composed or glued lazy map m under its recipe, evaluated through
+    the evaluation cache; m is its own witness when exact."""
+    return GenericMap(m.orientation, functools.partial(_forward, m),
+                      functools.partial(_backward, m), recipe, m if exact else None)
 
 
 def _glued(q_in, q_out, left, right, recipe) -> GenericMap:
     """Map sending q_in to q_out, by left below q_in and right above it."""
-    glue = GluedMap((q_in,), (left, right), (q_out,))
-    witness = glue if is_exact(q_in) and is_exact(q_out) else None
-    return GenericMap(glue.orientation, glue, glue.inverse, recipe, witness)
+    return _lazy(GluedMap((q_in,), (left, right), (q_out,)), recipe,
+                 is_exact(q_in) and is_exact(q_out))
 
 
 def _affine_root(g: AffineMap, n: int, orientation: Orientation):
@@ -674,11 +664,9 @@ def _root_below(g, u, v, n, seed: ScalarRootSeed, floor_last=None, cover=None,
                 confine=None, closed_form=True):
     """Root on a below-diagonal piece [u, v] (attracting fixed end u);
     closed_form=False skips the affine closed form."""
-    if cover is not None:
-        power, need_lo, need_hi = cover
-        if need_lo is not None and need_lo < u:
-            raise IncompatiblePatternError(
-                f"required range undercuts the attracting end {format_scalar(u)}")
+    if cover is not None and cover[1] is not None and cover[1] < u:
+        raise IncompatiblePatternError(
+            f"required range undercuts the attracting end {format_scalar(u)}")
     if confine is not None and confine[1] is not None and confine[1] > u:
         raise IncompatiblePatternError(
             "cannot keep iterated values above the attracting end")
@@ -688,14 +676,19 @@ def _root_below(g, u, v, n, seed: ScalarRootSeed, floor_last=None, cover=None,
         fast = _closed_form(g, n, u, v, below, confine, floor_last)
         if fast is not None:
             return fast
-    pins = []
-    if cover is not None and cover[2] is not None:
-        pins.append((cover[0], cover[2], "ge"))
-    if confine is not None and confine[2] is not None:
-        pins.append((confine[0], confine[2], "lt"))
-    root = OrbitRoot(g, u, v, n, anchor=seed.anchor, divisions=seed.divisions,
-                     floor_last=floor_last, pins=pins)
-    return root.as_map()
+    return _OrbitMap.root(g, u, v, n, seed, floor_last, cover, confine).as_map()
+
+
+def _mirror_seed(seed: ScalarRootSeed, pivot=None, image_pivot=None) -> ScalarRootSeed:
+    """The seed in reflected frames: its anchor and divisions through
+    x ↦ pivot − x, its image anchor through x ↦ image_pivot − x; a None
+    pivot leaves its side as it is.  No affine request survives."""
+    def flip(c, x):
+        return x if c is None or x is None else c - x
+    return ScalarRootSeed(
+        flip(pivot, seed.anchor),
+        None if seed.divisions is None else tuple(flip(pivot, d) for d in seed.divisions),
+        flip(image_pivot, seed.image_anchor), None)
 
 
 def _mirror_triple(triple, pivot):
@@ -708,8 +701,9 @@ def _mirror_triple(triple, pivot):
 
 def _root_above(g, w, p, n, seed: ScalarRootSeed, cover=None, confine=None,
                 closed_form=True):
-    """Root on an above-diagonal piece [w, p] (attracting fixed end p),
-    via reflection to the normal form."""
+    """Root on an above-diagonal piece [w, p] (attracting fixed end p):
+    r∘phi∘r for the root phi of the reflected, below-diagonal problem and
+    the reflection r(x) = w + p − x, which also carries the seed over."""
     pivot = w + p
     if (closed_form and isinstance(g, AffineMap) and seed.divisions is None
             and seed.anchor is None):
@@ -728,15 +722,11 @@ def _root_above(g, w, p, n, seed: ScalarRootSeed, cover=None, confine=None,
         if mirrored_confine[1] > pivot - p:
             raise IncompatiblePatternError(
                 "cannot keep iterated values below the attracting end")
-    anchor = None if seed.anchor is None else pivot - seed.anchor
-    pins = []
-    if mirrored_cover is not None and mirrored_cover[2] is not None:
-        pins.append((mirrored_cover[0], mirrored_cover[2], "ge"))
-    if mirrored_confine is not None and mirrored_confine[2] is not None:
-        pins.append((mirrored_confine[0], mirrored_confine[2], "lt"))
-    base = OrbitRoot(g_tilde, pivot - p, pivot - w, n, anchor=anchor,
-                     divisions=seed.divisions, pins=pins)
-    return _MirroredRoot(base, pivot).as_map()
+    base = _OrbitMap.root(g_tilde, pivot - p, pivot - w, n, _mirror_seed(seed, pivot),
+                          cover=mirrored_cover, confine=mirrored_confine)
+    r = AffineMap(Fraction(-1), pivot)
+    return _lazy(compose_maps(r, base, r), ("mirrored", format_scalar(pivot), base.recipe),
+                 base.exact and is_exact(pivot))
 
 
 def _split_cover(triple, q, for_lower):
@@ -834,58 +824,6 @@ def increasing_nth_root(g, lo: Scalar, hi: Scalar, n: int,
     return _root_below(g, lo, hi, n, seed.normalized())
 
 
-class _OrbitConjugacy:
-    """h with h∘g1 = g2∘h between two below-diagonal increasing maps."""
-
-    def __init__(self, g1, u1, v1, g2, u2, v2, seg: AffineMap, x1, x2):
-        self.u1, self.v1, self.u2 = u1, v1, u2
-        self.seg, self.x1, self.x2 = seg, x1, x2
-        self.dom1, self.dom2 = _Domain(g1, x1), _Domain(g2, x2)
-
-    def witness(self):
-        g1, g2 = self.dom1.g, self.dom2.g
-        if not (_exact_generator(g1, self.u1) and _exact_generator(g2, self.u2)
-                and is_exact(self.x1) and is_exact(self.x2)):
-            return None
-        # the seed segment is one affine piece: breaks sit on the anchors' orbits
-        return _witness_pair(
-            "orbit conjugacy", INC, self.forward, self.inverse,
-            self.u1, self.u2, g1, g2,
-            lambda lo, hi: _orbit_points(self.dom1, (self.x1,), lo, hi),
-            lambda lo, hi: _orbit_points(self.dom2, (self.x2,), lo, hi))
-
-    @_memoized
-    def forward(self, x):
-        if x == self.u1:
-            return self.u2
-        x = _in_range(x, self.u1, self.v1)
-        y, k = _orbit_land(self.dom1, x)
-        return _orbit_carry(self.dom1, self.dom2, x, y, k, self.seg)
-
-    @_memoized
-    def inverse(self, w):
-        if w == self.u2:
-            return self.u1
-        y, k = _orbit_land(self.dom2, w)
-        x = _orbit_carry(self.dom2, self.dom1, w, y, k, self.seg, inverse=True)
-        return _preimage_in(w, x, self.u1, self.v1)
-
-    def as_map(self) -> GenericMap:
-        return GenericMap(INC, self.forward, self.inverse,
-                          ("orbit_conjugacy", format_scalar(self.x1),
-                           format_scalar(self.x2)), self.witness())
-
-
-def _conj_below(g1, u1, v1, g2, u2, v2, seed: ScalarRootSeed):
-    """Increasing conjugacy between two below-diagonal maps."""
-    x1 = v1 if seed.anchor is None else seed.anchor
-    x2 = v2 if seed.image_anchor is None else seed.image_anchor
-    if not (u1 < x1 <= v1 and u2 < x2 <= v2):
-        raise BadSeedError("conjugacy anchors outside the intervals")
-    seg = _affine_through(g1(x1), g2(x2), x1, x2)
-    return _OrbitConjugacy(g1, u1, v1, g2, u2, v2, seg, x1, x2).as_map()
-
-
 def _conj_increasing(g1, lo1, hi1, g2, lo2, hi2, seed: ScalarRootSeed):
     p1 = map_pattern(g1, lo1, hi1)
     p2 = map_pattern(g2, lo2, hi2)
@@ -895,19 +833,15 @@ def _conj_increasing(g1, lo1, hi1, g2, lo2, hi2, seed: ScalarRootSeed):
     if p1.kind == "identity":
         return _affine_through(lo1, lo2, hi1, hi2)
     if p1.kind == "below":
-        return _conj_below(g1, lo1, hi1, g2, lo2, hi2, seed)
+        return _OrbitMap.conjugacy(g1, lo1, hi1, g2, lo2, hi2, seed).as_map()
     if p1.kind == "above":
         # reflect both problems onto the below-diagonal normal form
         pivot1, pivot2 = lo1 + hi1, lo2 + hi2
         r1 = AffineMap(Fraction(-1), Fraction(pivot1))
         r2 = AffineMap(Fraction(-1), Fraction(pivot2))
-        seed_r = ScalarRootSeed(
-            None if seed.anchor is None else pivot1 - seed.anchor,
-            seed.divisions,
-            None if seed.image_anchor is None else pivot2 - seed.image_anchor,
-            None)
-        inner = _conj_below(reflect_map(g1, pivot1), lo1, hi1,
-                            reflect_map(g2, pivot2), lo2, hi2, seed_r)
+        inner = _OrbitMap.conjugacy(reflect_map(g1, pivot1), lo1, hi1,
+                                    reflect_map(g2, pivot2), lo2, hi2,
+                                    _mirror_seed(seed, pivot1, pivot2)).as_map()
         return compose_maps(r2, inner, r1)
     if p1.attracting != p2.attracting:
         raise IncompatiblePatternError("interior fixed-point types differ")
@@ -950,11 +884,8 @@ def conjugacy(g1, lo1: Scalar, hi1: Scalar, g2, lo2: Scalar, hi2: Scalar,
     pivot = lo2 + hi2
     r2 = AffineMap(Fraction(-1), Fraction(pivot))
     g2_tilde = reflect_map(g2, pivot)
-    seed2 = ScalarRootSeed(
-        seed.anchor, seed.divisions,
-        None if seed.image_anchor is None else pivot - seed.image_anchor,
-        None)
-    inner = _conj_increasing(g1, lo1, hi1, g2_tilde, lo2, hi2, seed2)
+    inner = _conj_increasing(g1, lo1, hi1, g2_tilde, lo2, hi2,
+                             _mirror_seed(seed, image_pivot=pivot))
     return compose_maps(r2, inner)
 
 
@@ -962,69 +893,28 @@ def conjugacy(g1, lo1: Scalar, hi1: Scalar, g2, lo2: Scalar, hi2: Scalar,
 # decreasing square roots (pairings)
 # ---------------------------------------------------------------------------
 
-class _SelfPairRoot:
-    """Decreasing square root of an increasing map with an interior
-    attracting fixed point; one side seeded, the other forced by
-    psi_left = psi_right^{-1} ∘ g."""
-
-    def __init__(self, g, u, v, p, x0, y0):
-        if y0 > g(u):
-            raise BadSeedError(
-                f"image anchor {format_scalar(y0)} must not exceed g({format_scalar(u)})")
-        if not p < x0 <= v or not u <= y0 < p:
-            raise BadSeedError("pairing anchors must sit on opposite sides of the fixed point")
-        self.g, self.u, self.v, self.p = g, u, v, p
-        self.x0, self.y0 = x0, y0
-        self.right, self.left = _Domain(g, x0), _Domain(g, y0)
-        self.seg = _affine_through(self.right.image, self.left.image, x0, y0)  # decreasing
-
-    def _psi_right(self, x):
-        y, k = _orbit_land(self.right, x)
-        return _orbit_carry(self.right, self.right, x, y, k, self.seg)
-
-    def _psi_right_inv(self, w):
-        y, k = _orbit_land(self.left, w)
-        return _orbit_carry(self.left, self.left, w, y, k, self.seg, inverse=True)
-
-    @_memoized
-    def forward(self, x):
-        if x == self.p:
-            return self.p
-        if _in_range(x, self.u, self.v) > self.p:
-            y = self._psi_right(x)
-        else:
-            y = self._psi_right_inv(self.g(x))
-        # a seed can send part of [u, v] outside it; such values are refused
-        return _in_range(y, self.u, self.v)
-
-    @_memoized
-    def inverse(self, z):
-        if z == self.p:
-            return self.p
-        if z < self.p:
-            x = self._psi_right_inv(z)
-        else:
-            x = self.g.inverse(self._psi_right(z))
-        return _preimage_in(z, x, self.u, self.v)
-
-    def _breaks(self, lo, hi):
-        # both directions: the segment seeds each side, so breaks sit on
-        # the orbit of x0 above p and on the orbit of y0 below it
-        if lo > self.p:
-            return _orbit_points(self.right, (self.x0,), lo, hi)
-        return _orbit_points(self.left, (self.y0,), lo, hi)
-
-    def witness(self):
-        if not (_exact_generator(self.g, self.p) and is_exact(self.x0)
-                and is_exact(self.y0)):
-            return None
-        return _witness_pair("self pairing", DEC, self.forward, self.inverse,
-                             self.p, self.p, self.g, self.g, self._breaks, self._breaks)
-
-    def as_map(self) -> GenericMap:
-        return GenericMap(DEC, self.forward, self.inverse,
-                          ("self_pair_sqrt", format_scalar(self.x0),
-                           format_scalar(self.y0)), self.witness())
+def _self_pairing(g, u, v, p, x0, y0) -> GenericMap:
+    """Decreasing square root of an increasing map g on [u, v] around its
+    interior attracting fixed point p: above p the orbit map psi from the
+    right of p to the left, seeded by the segment sending [g(x0), x0] onto
+    [g(y0), y0], and below p psi^{-1} ∘ g."""
+    if y0 > g(u):
+        raise BadSeedError(
+            f"image anchor {format_scalar(y0)} must not exceed g({format_scalar(u)})")
+    if not p < x0 <= v or not u <= y0 < p:
+        raise BadSeedError("pairing anchors must sit on opposite sides of the fixed point")
+    right, left = _Domain(g, x0), _Domain(g, y0)
+    seg = _affine_through(right.image, left.image, x0, y0)  # decreasing
+    psi = _OrbitMap("self pairing", DEC, _SeedMap([(right.image, x0, seg)]), right, left,
+                    ((p, p),), _exact_generator(g, p) and is_exact(x0) and is_exact(y0))
+    glue = GluedMap((p,), (compose_maps(psi.inverse_map(), g), psi), (p,))
+    # the glue alone would not refuse an argument below u: psi^{-1} takes
+    # the same values in the inverse direction.  A seed can also send part
+    # of [u, v] outside it; such values are refused.
+    return GenericMap(DEC, lambda x: _in_range(glue(_in_range(x, u, v)), u, v),
+                      lambda z: _preimage_in(z, glue.inverse(z), u, v),
+                      ("self_pair_sqrt", format_scalar(x0), format_scalar(y0)),
+                      glue if psi.exact else None)
 
 
 def decreasing_square_root_pair(g_src, lo_src: Scalar, hi_src: Scalar,
@@ -1077,7 +967,7 @@ def decreasing_square_root_pair(g_src, lo_src: Scalar, hi_src: Scalar,
                 f"coverage requirement {format_scalar(cover_top)} outside "
                 "the pairing interval")
         x0, y0 = cover_top, g_src(lo_src)
-    psi = _SelfPairRoot(g_src, lo_src, hi_src, p, x0, y0).as_map()
+    psi = _self_pairing(g_src, lo_src, hi_src, p, x0, y0)
     return psi, psi
 
 

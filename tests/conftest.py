@@ -10,8 +10,8 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from mfroots import Multifunction, intensity
-from mfroots.maps import ComposedMap, GenericMap
-from mfroots.scalar_roots import _MirroredRoot
+from mfroots.maps import ComposedMap, GenericMap, GluedMap
+from mfroots.scalar_roots import _OrbitMap
 
 # deterministic example generation keeps runtimes stable across runs
 settings.register_profile(
@@ -288,18 +288,16 @@ def random_dec_selfpair_target(rng: random.Random, slope_16ths=None) -> Multifun
 def lazy_objects(m):
     """The lazy construction objects behind a map, through compositions
     and glued maps."""
-    if isinstance(m, ComposedMap):
+    if isinstance(m, _OrbitMap):
+        yield m
+    elif isinstance(m, ComposedMap):
         for a in m.maps:
             yield from lazy_objects(a)
-    elif isinstance(m, GenericMap):
-        owner = getattr(m.forward, "__self__", None)
-        if owner is not None:
-            yield owner
-            if isinstance(owner, _MirroredRoot):
-                yield owner.base
-        elif m.witness is not None and hasattr(m.witness, "pieces"):
-            for p in m.witness.pieces:
-                yield from lazy_objects(p)
+    elif isinstance(m, GluedMap):
+        for p in m.pieces:
+            yield from lazy_objects(p)
+    elif isinstance(m, GenericMap) and m.witness is not None:
+        yield from lazy_objects(m.witness)
 
 
 def staircase(count: int) -> Multifunction:

@@ -22,6 +22,8 @@ from mfroots.io import load_mf, recipe_from_json, recipe_to_json
 from mfroots.maps import AffineMap
 from mfroots.scalar_roots import DEFAULT_SEED, _increasing_root_auto, odd_swap_maps
 
+from conftest import lazy_objects
+
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
 STEMS = sorted(path.stem for path in DATA.glob("*.mf"))
@@ -82,7 +84,9 @@ def test_self_pairing_keeps_the_top_off_the_jump(pieces, jump, anchor):
     F = mf.Multifunction.build(0, 1, pieces, [jump])
     art = build_decreasing_square_root(F)
     assert isinstance(art, RootArtifact), art
-    assert_exact(art)
+    assert_exact(art)  # proved through the glue of psi and its inverse
+    assert "self pairing" in {o.name for br in art.realized.branches
+                              for o in lazy_objects(br.map)}
     assert art.realized(1).singleton_value() == anchor
     assert art.recipe.payload["seed"] is None
     again = rebuild_from_recipe(F, art.recipe)

@@ -42,9 +42,8 @@ from mfroots.maps import (
     iterate_map,
 )
 from mfroots.scalar_roots import (
-    OrbitRoot,
     ScalarRootSeed,
-    _OrbitConjugacy,
+    _OrbitMap,
     _SeedMap,
     increasing_nth_root,
 )
@@ -123,21 +122,32 @@ def exact_roots(kind, n=2, count=6):
     return out
 
 
-def roots_with(kind, cls, n=2, count=40):
-    """Exactly verified roots (F, n, artifact) whose maps hold a ``cls``
-    object."""
+def is_a(obj, name):
+    """Whether obj is either direction of an orbit map called ``name``."""
+    return isinstance(obj, _OrbitMap) and obj.name.removeprefix("inverse ") == name
+
+
+def roots_with(kind, name, n=2, count=40):
+    """Exactly verified roots (F, n, artifact) whose maps hold an orbit map
+    called ``name``."""
     out = []
     for F, k, art in exact_roots(kind, n, count):
         if any(
-                isinstance(o, cls) for br in art.realized.branches
+                is_a(o, name) for br in art.realized.branches
                 for o in lazy_objects(br.map)):
             out.append((F, k, art))
     return out
 
 
-def first(art, cls):
+def first(art, name):
     return next(o for br in art.realized.branches for o in lazy_objects(br.map)
-                if isinstance(o, cls))
+                if is_a(o, name))
+
+
+def reseed(orbit_map, pieces):
+    """Give both directions of an orbit map, which read one seed, the seed
+    map of ``pieces``."""
+    orbit_map.seed = orbit_map.partner.seed = _SeedMap(pieces)
 
 
 def nudge(m: AffineMap) -> AffineMap:
@@ -155,46 +165,47 @@ def assert_not_passed(f, F, n):
 class TestMutations:
     @pytest.mark.parametrize("kind,n", [("inc", 2), ("inc", 3), ("odd", 3)])
     def test_seed_division(self, kind, n):
-        cases = roots_with(kind, OrbitRoot, n)
+        cases = roots_with(kind, "orbit root", n)
         assert cases
         for F, k, art in cases[:4]:
-            root = first(art, OrbitRoot)
+            root = first(art, "orbit root")
             pieces = list(root.seed.pieces)
             lo, hi, m = pieces[1]
             prev_lo, _, prev_m = pieces[0]
             pieces[0] = (prev_lo, lo - DELTA, prev_m)
             pieces[1] = (lo - DELTA, hi, m)
-            root.seed = _SeedMap(pieces)
+            reseed(root, pieces)
             assert_not_passed(art.realized, F, k)
 
-    @pytest.mark.parametrize("kind,cls,n", [("inc", OrbitRoot, 2), ("odd", OrbitRoot, 3),
-                                            ("sq", _OrbitConjugacy, 2)])
-    def test_seed_piece(self, kind, cls, n):
-        cases = roots_with(kind, cls, n)
+    @pytest.mark.parametrize("kind,name,n", [("inc", "orbit root", 2),
+                                             ("odd", "orbit root", 3),
+                                             ("sq", "orbit conjugacy", 2)],
+                             ids=["inc-orbit_root-2", "odd-orbit_root-3",
+                                  "sq-orbit_conjugacy-2"])
+    def test_seed_piece(self, kind, name, n):
+        cases = roots_with(kind, name, n)
         assert cases
         for F, k, art in cases[:4]:
-            obj = first(art, cls)
-            if isinstance(obj, OrbitRoot):
-                pieces = list(obj.seed.pieces)
-                lo, hi, m = pieces[0]
-                pieces[0] = (lo, hi, nudge(m))
-                obj.seed = _SeedMap(pieces)
-            else:
-                obj.seg = nudge(obj.seg)
+            obj = first(art, name)
+            # a conjugacy's seed is its one segment
+            pieces = list(obj.seed.pieces)
+            lo, hi, m = pieces[0]
+            pieces[0] = (lo, hi, nudge(m))
+            reseed(obj, pieces)
             assert_not_passed(art.realized, F, k)
 
     @pytest.mark.parametrize("kind,n", [("inc", 2), ("inc", 3), ("odd", 3)])
     def test_seed_piece_turned_about_its_end(self, kind, n):
         # the piece keeps its value at its lower end, and the next piece
         # takes over at its upper end: the map is wrong only inside it
-        for F, k, art in roots_with(kind, OrbitRoot, n)[:4]:
-            root = first(art, OrbitRoot)
+        for F, k, art in roots_with(kind, "orbit root", n)[:4]:
+            root = first(art, "orbit root")
             pieces = list(root.seed.pieces)
             for i, (lo, hi, m) in enumerate(pieces):
                 turned = AffineMap(m.slope + DELTA, m.intercept - DELTA * lo)
-                root.seed = _SeedMap([*pieces[:i], (lo, hi, turned), *pieces[i + 1:]])
+                reseed(root, [*pieces[:i], (lo, hi, turned), *pieces[i + 1:]])
                 assert_not_passed(art.realized, F, k)
-            root.seed = _SeedMap(pieces)
+            reseed(root, pieces)
 
     @pytest.mark.parametrize("kind", ["inc", "sq", "odd"])
     def test_extension_branch(self, kind):
@@ -229,7 +240,10 @@ class TestMutations:
         f = Multifunction(F.domain, mf.DEC, (Branch(u, v, psi),), ())
         report = verify_root(f, F, 2)
         assert report.passed and report.exact, report
-        psi.forward.__self__.seg = nudge(psi.forward.__self__.seg)
+        # psi's two directions glued at the fixed point read one segment
+        pair = next(lazy_objects(psi))
+        ((lo, hi, seg),) = pair.seed.pieces
+        reseed(pair, [(lo, hi, nudge(seg))])
         assert_not_passed(f, F, 2)
 
 
@@ -468,11 +482,11 @@ class TestProvenValidation:
 
     def test_orbit_root_with_a_reversed_seed_piece(self):
         phi = self.quarter_root()
-        root = phi.forward.__self__
+        root = phi.forward
         (lo, hi, m), *rest = root.seed.pieces
         reversed_piece = AffineMap(-m.slope, m.slope * (lo + hi) + m.intercept)
         assert {reversed_piece(lo), reversed_piece(hi)} == {m(lo), m(hi)}
-        root.seed = _SeedMap([(lo, hi, reversed_piece), *rest])
+        reseed(root, [(lo, hi, reversed_piece), *rest])
         report = one_branch(phi).validate()
         assert report.sampled == ()
         assert [v.kind for v in report.violations] == ["monotonicity"]
@@ -481,11 +495,11 @@ class TestProvenValidation:
         # the reversed seed piece repeats along the orbit toward 0, so a
         # branch on (0, 1/8) holds only its images
         phi = self.quarter_root()
-        root = phi.forward.__self__
+        root = phi.forward
         pieces = list(root.seed.pieces)
         lo, hi, m = pieces[-1]
         pieces[-1] = (lo, hi, AffineMap(-m.slope, m.slope * (lo + hi) + m.intercept))
-        root.seed = _SeedMap(pieces)
+        reseed(root, pieces)
         f = Multifunction(mf.ClosedInterval(0, Q(1, 8)), mf.INC,
                           (Branch(0, Q(1, 8), phi),), ())
         report = f.validate()
@@ -493,12 +507,23 @@ class TestProvenValidation:
         assert "monotonicity" in [v.kind for v in report.violations]
 
     def test_decreasing_branch(self):
-        psi = mf.decreasing_square_root_pair(
-            AffineMap(Q(99, 100), Q(1, 200)), 0, 1,
-            seed=ScalarRootSeed(anchor=1, image_anchor=0))[0]
-        assert psi.orientation is mf.DEC and psi.witness is not None
-        report = one_branch(psi, mf.DEC).validate()
-        assert report.ok and report.sampled == ()
+        # the second self pairing is psi of the orbit_eval benchmark, seed 1
+        for g, anchor in [(AffineMap(Q(99, 100), Q(1, 200)), 1),
+                          (AffineMap(Q(99, 100), Q(7, 1600)), Q(485, 512))]:
+            psi = mf.decreasing_square_root_pair(
+                g, 0, 1, seed=ScalarRootSeed(anchor=anchor, image_anchor=0))[0]
+            # the orbit map above the fixed point, glued to its inverse after g
+            assert psi.orientation is mf.DEC and isinstance(psi.witness, GluedMap)
+            assert [o.name for o in lazy_objects(psi)] == ["inverse self pairing",
+                                                           "self pairing"]
+            # psi sends the anchor to 0, and [0, anchor] into itself
+            f = Multifunction(mf.ClosedInterval(0, anchor), mf.DEC,
+                              (Branch(0, anchor, psi),), ())
+            report = f.validate()
+            assert report.ok and report.sampled == ()
+            F = Multifunction.build(0, anchor, [(0, anchor, g.slope, g.intercept)])
+            report = verify_root(f, F, 2)
+            assert report.passed and report.exact, report
 
 
 # ---------------------------------------------------------------------------

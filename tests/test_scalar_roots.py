@@ -9,10 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 import mfroots as mf
 from mfroots import builder, scalar_roots
-from mfroots.maps import AffineMap, GenericMap, compose_maps, iterate_map
+from mfroots.maps import AffineMap, GenericMap, GluedMap, compose_maps, iterate_map
 from mfroots.scalar_roots import (
-    OrbitRoot,
     ScalarRootSeed,
+    _OrbitMap,
     _Domain,
     _orbit_carry,
     _orbit_land,
@@ -235,6 +235,19 @@ class TestOddSwap:
             w = map_b(map_a(map_b(y)))
             assert abs(float(w) - float(B(y))) <= 1e-12
 
+    def test_seed_in_the_callers_frame(self):
+        # A∘B = x/2 + 1/2 lies above the diagonal on beta = [0, 1], so phi
+        # is built reflected; the seed is read in the caller's frame: phi
+        # sends the anchor 0 to 1/6 and 1/6 to 1/3 on the way up to 1
+        A, B = AffineMap(Q(-1, 2), 2), AffineMap(-1, 3)
+        seed = ScalarRootSeed(anchor=0, divisions=(Q(1, 6), Q(1, 3)))
+        _, _, phi = odd_swap_maps(A, 2, 3, B, 0, 1, 3, seed)
+        assert phi.recipe == ("mirrored", "1", ("orbit_root", 3, "1", ("5/6", "2/3")))
+        assert phi(0) == Q(1, 6) and phi(Q(1, 6)) == Q(1, 3)
+        G = compose_maps(A, B)
+        for x in [Q(i, 17) for i in range(18)]:
+            assert phi(phi(phi(x))) == G(x)
+
 
 def steps(g, z, k):
     """g^k(z) by single steps: the reference for the closed-form jumps."""
@@ -378,7 +391,7 @@ class TestOrbitEngine:
             land(g, x, Q(3, 4))
 
     def test_seed_map_rejects_points_outside_its_domain(self):
-        root = OrbitRoot(AffineMap(Q(1, 2), 0), 0, 1, 2, anchor=Q(3, 4))
+        root = _OrbitMap.root(AffineMap(Q(1, 2), 0), 0, 1, 2, ScalarRootSeed(anchor=Q(3, 4)))
         assert root.seed.piece(Q(3, 4)) is root.seed.pieces[-1][2]
         for x in (Q(3, 8) - Q(1, 100), Q(3, 4) + Q(1, 100)):
             with pytest.raises(EvaluationRangeError, match="outside the seed domain"):
@@ -526,9 +539,9 @@ class TestOrbitCarry:
         assert max(v.denominator.bit_length() for v in values) > 50_000
         # the old carry of the same point does multiply two large numbers
         r2, x = calls[0]
-        root = r2.forward.__self__
-        y, _ = _orbit_land(root.outer, x)
-        carried_by_power(root.outer, root.outer, x, root.seed.piece(y))
+        root = r2.forward
+        y, _ = _orbit_land(root.land, x)
+        carried_by_power(root.land, root.land, x, root.seed.piece(y))
         assert large
 
     def test_self_pairing_still_refuses_a_value_outside_its_interval(self):
@@ -537,12 +550,13 @@ class TestOrbitCarry:
         p = Q(31, 64)
         psi, _ = decreasing_square_root_pair(AffineMap(Q(99, 100), p / 100), 0, 1,
                                              seed=ScalarRootSeed(anchor=Q(1025, 2048)))
-        pair = psi.forward.__self__
+        pair = psi.witness.pieces[1]  # the orbit map above p
+        ((_, _, seg),) = pair.seed.pieces
         x = p + Q(6517, 10 ** 5)
-        y, k = _orbit_land(pair.right, x)
+        y, k = _orbit_land(pair.land, x)
         assert k > scalar_roots._WALK  # carried in factored form
-        value = _orbit_carry(pair.right, pair.right, x, y, k, pair.seg)
-        assert value == carried_by_power(pair.right, pair.right, x, pair.seg)
+        value = _orbit_carry(pair.land, pair.land, x, y, k, seg)
+        assert value == carried_by_power(pair.land, pair.land, x, seg)
         assert value == Q(-9732853, 6600000)
         with pytest.raises(EvaluationRangeError, match=r"-9732853/6600000 outside \[0, 1\]"):
             psi(x)
@@ -642,6 +656,27 @@ def _glue_cases():
                                     ("glued_conjugacy", "1/2", "3/8")),
         "dec_glue": (odd, (Q(1, 2), 1), Q(13, 20), Q(13, 20), ("dec_glue", "13/20")),
     }
+
+
+class TestMapPattern:
+    @pytest.mark.parametrize("pieces, attracting", [
+        ((AffineMap(Q(1, 2), Q(1, 4)), AffineMap(Q(1, 4), Q(3, 8))), True),
+        ((AffineMap(2, Q(-1, 2)), AffineMap(3, -1)), False),
+    ])
+    def test_a_sample_on_the_fixed_point(self, pieces, attracting):
+        # both pieces fix 1/2, which one of the 65 samples hits exactly
+        g = GluedMap((Q(1, 2),), pieces)
+        pattern = scalar_roots.map_pattern(g, 0, 1)
+        assert pattern == scalar_roots.MapPattern("interior", Q(1, 2), attracting)
+        assert isinstance(pattern.fixed, Q)
+
+    def test_two_fixed_points_are_refused(self):
+        # fixed points 1/2, a sample, and 151/200, between two samples
+        def g(x):
+            return x - (x - Q(1, 2)) * (x - Q(151, 200))
+
+        with pytest.raises(IncompatiblePatternError, match="multiple interior"):
+            scalar_roots.map_pattern(g, 0, 1)
 
 
 class TestGlue:
@@ -777,7 +812,7 @@ class TestSeedMap:
         anchor = None if rng.random() < 0.5 else u + (v - u) * Q(rng.randint(1, 8), 8)
         if rng.random() < 0.3:
             g = GenericMap(mf.INC, g, g.inverse, ("g",))  # stepped, not jumped
-        self.check(OrbitRoot(g, u, v, n, anchor=anchor))
+        self.check(_OrbitMap.root(g, u, v, n, ScalarRootSeed(anchor=anchor)))
 
     @pytest.mark.parametrize("seed", range(30))
     def test_built_roots(self, seed):
@@ -785,7 +820,7 @@ class TestSeedMap:
         for n in (2, 3):
             for br in builder.build_increasing_root(F, n).realized.branches:
                 for root in lazy_objects(br.map):
-                    if isinstance(root, OrbitRoot):
+                    if root.name.endswith("orbit root"):
                         self.check(root)
 
     def check(self, root):
@@ -808,7 +843,7 @@ class TestEvaluationCache:
 
     def test_memoizes_exact_points_only_inside_the_block(self):
         phi = self.lazy_root()
-        root = phi.forward.__self__
+        root = phi.forward
         assert scalar_roots._EVALUATIONS.get() is None
         with scalar_roots.evaluation_cache():
             memo = scalar_roots._EVALUATIONS.get()
@@ -818,8 +853,21 @@ class TestEvaluationCache:
             # keyed on the object: another root with equal data has its own entry
             other = self.lazy_root()
             assert other(Q(1, 3)) == first and len(memo) == 3
-            assert (root, OrbitRoot.forward.__wrapped__, Q, Q(1, 3)) in memo
+            assert (root, _OrbitMap.__call__.__wrapped__, Q, Q(1, 3)) in memo
         assert scalar_roots._EVALUATIONS.get() is None
+
+    def test_both_directions_are_built_once(self):
+        phi = self.lazy_root()
+        root = phi.forward
+        assert phi.inverse_map().inverse_map().forward is root
+        with scalar_roots.evaluation_cache():
+            memo = scalar_roots._EVALUATIONS.get()
+            w = phi(Q(1, 3))
+            for _ in range(2):
+                assert phi.inverse_map()(w) == Q(1, 3) and len(memo) == 2
+                assert phi.inverse_map().inverse_map()(Q(1, 3)) == w and len(memo) == 2
+            assert (root.partner, _OrbitMap.__call__.__wrapped__, Q, w) in memo
+        assert phi.inverse_map().witness is root.partner and root.partner.partner is root
 
     def test_float_is_never_served_an_exact_value(self):
         phi = self.lazy_root()
