@@ -171,20 +171,26 @@ def _require_valid(F: Multifunction) -> None:
 # shared pullback helpers
 # ---------------------------------------------------------------------------
 
-def _piecewise_inverse(branches: Tuple[Branch, ...], w: Scalar) -> Scalar:
-    for br in branches:
-        ends = (br.map(br.lo), br.map(br.hi))
-        if min(ends) <= w <= max(ends):
+def _piecewise_inverse(branches: Tuple[Branch, ...], ranges: list, w: Scalar) -> Scalar:
+    """The preimage of w under the first branch whose image holds it;
+    ``ranges`` keeps the ends of each branch image, taken when first needed."""
+    for i, br in enumerate(branches):
+        if ranges[i] is None:
+            ranges[i] = sorted((br.map(br.lo), br.map(br.hi)))
+        lo, hi = ranges[i]
+        if lo <= w <= hi:
             return br.map.inverse(w)
     raise MfError(f"pullback value {format_scalar(w)} misses every branch range")
 
 
 def _pullback_valueset(branches: Tuple[Branch, ...], V: ValueSet,
                        times: int) -> ValueSet:
+    ranges = [None] * len(branches)
     for _ in range(times):
         comps = []
         for c in V.components:
-            p, q = _piecewise_inverse(branches, c.lo), _piecewise_inverse(branches, c.hi)
+            p = _piecewise_inverse(branches, ranges, c.lo)
+            q = _piecewise_inverse(branches, ranges, c.hi)
             comps.append(ClosedInterval(min(p, q), max(p, q)))
         V = ValueSet.from_intervals(comps)
     return V

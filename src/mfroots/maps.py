@@ -55,8 +55,11 @@ class AffineMap:
     intercept: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "slope", Fraction(self.slope))
-        object.__setattr__(self, "intercept", Fraction(self.intercept))
+        # a Fraction is kept as it is: re-wrapping one costs a Rational check
+        if type(self.slope) is not Fraction:
+            object.__setattr__(self, "slope", Fraction(self.slope))
+        if type(self.intercept) is not Fraction:
+            object.__setattr__(self, "intercept", Fraction(self.intercept))
         if self.slope == 0:
             raise StructureError("affine map must have nonzero slope")
 
@@ -283,11 +286,14 @@ class ComposedMap:
         map's breaks on a segment's image pull back by solving that affine
         map, and two inner points give the next affine map.  Only forward
         evaluations are used, and no continuity at the cuts is assumed.
-        Only the cuts of the last map are read, so it is not fitted; the
-        last map is told by its position, as one map can recur in a chain."""
+        Affine maps add no cut, so the chain is read only through its last
+        non-affine map, and that map is not fitted, as only its cuts are
+        read; it is told by its position, as one map can recur in a chain."""
+        chain = self.maps[::-1]
+        last = max((i for i, m in enumerate(chain) if not isinstance(m, AffineMap)),
+                   default=-1)
         segments = [(lo, hi, Fraction(1), Fraction(0))]  # x ↦ a·x + b on (p, q)
-        last = len(self.maps) - 1
-        for i, m in enumerate(reversed(self.maps)):
+        for i, m in enumerate(chain[:last + 1]):
             if isinstance(m, AffineMap):
                 segments = [(p, q, m.slope * a, m.slope * b + m.intercept)
                             for p, q, a, b in segments]

@@ -420,7 +420,8 @@ def _preimage_in(w, x, lo, hi):
 # evaluation cache
 # ---------------------------------------------------------------------------
 
-# (lazy map, method, argument type, argument) -> value, while a cache is open
+# (lazy map, method, argument type, argument's numerator and denominator)
+# -> value, while a cache is open
 _EVALUATIONS: ContextVar[Optional[dict]] = ContextVar("mfroots_evaluations",
                                                       default=None)
 _MISSING = object()
@@ -448,7 +449,8 @@ def _memoized(method):
         memo = _EVALUATIONS.get()
         if memo is None or not is_exact(x):
             return method(self, x)
-        key = (self, method, type(x), x)
+        # keyed on the parts: hashing a Fraction takes a modular inverse
+        key = (self, method, type(x), x.numerator, x.denominator)
         value = memo.get(key, _MISSING)
         if value is _MISSING:
             value = memo[key] = method(self, x)
@@ -725,8 +727,22 @@ def _root_above(g, w, p, n, seed: ScalarRootSeed, cover=None, confine=None,
     base = _OrbitMap.root(g_tilde, pivot - p, pivot - w, n, _mirror_seed(seed, pivot),
                           cover=mirrored_cover, confine=mirrored_confine)
     r = AffineMap(Fraction(-1), pivot)
-    return _lazy(compose_maps(r, base, r), ("mirrored", format_scalar(pivot), base.recipe),
+    lazy = _lazy(compose_maps(r, base, r), ("mirrored", format_scalar(pivot), base.recipe),
                  base.exact and is_exact(pivot))
+
+    # r sends [w, p] onto itself, so refusing in this frame refuses what
+    # the base would; the error then names the caller's point, not r of it
+    def backward(z):
+        _in_range(z, w, p)
+        try:
+            return lazy.backward(z)
+        except EvaluationRangeError:  # the preimage r(phi^-1(r(z))) is outside
+            raise EvaluationRangeError(
+                f"{format_scalar(z)} has no preimage inside "
+                f"[{format_scalar(w)}, {format_scalar(p)}]") from None
+
+    return GenericMap(INC, lambda x: lazy.forward(_in_range(x, w, p)), backward,
+                      lazy.recipe, lazy.witness)
 
 
 def _split_cover(triple, q, for_lower):

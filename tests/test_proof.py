@@ -32,6 +32,7 @@ from mfroots.core import (
     prove_equivalent,
 )
 from mfroots.errors import NoExactProofError
+from mfroots.io import load_mf
 from mfroots.maps import (
     AffineMap,
     ComposedMap,
@@ -49,6 +50,7 @@ from mfroots.scalar_roots import (
 )
 
 from conftest import (
+    data_path,
     lazy_objects,
     random_dec_selfpair_target,
     random_direct_routed,
@@ -348,7 +350,9 @@ class TestWitnesses:
 
 def ref_composed_breaks(chain: ComposedMap, lo, hi) -> tuple:
     """ComposedMap.breaks as it was when it fitted every map of the chain,
-    the last one included; the oracle of the version that skips that fit."""
+    the last non-affine one included, and carried the affine maps after
+    it; the oracle of the version that reads the chain only up to its last
+    non-affine map and does not fit that one."""
     segments = [(lo, hi, Q(1), Q(0))]
     for m in reversed(chain.maps):
         if isinstance(m, AffineMap):
@@ -382,9 +386,49 @@ def assert_breaks_match(chain, lo, hi):
             == breaks_outcome(ref_composed_breaks, chain, lo, hi)), (chain, lo, hi)
 
 
+def breaks_outcomes(m, lo, hi) -> list:
+    """m.breaks on [lo, hi] and on two spans inside each cell between the
+    limits of m there, nearer a limit with more cuts."""
+    cells = sorted({lo, hi, *m.limits(lo, hi)})
+    spans = [(lo, hi)] + [(a + (b - a) * t, b - (b - a) * t)
+                          for a, b in zip(cells, cells[1:]) for t in (Q(1, 4), Q(1, 64))]
+    return [breaks_outcome(m.breaks, a, b) for a, b in spans]
+
+
+def assert_fitting_breaks_agree(m, lo, hi, monkeypatch) -> int:
+    """The breaks of m equal those it has when every composition inside it,
+    however deeply nested, answers through the fitting oracle; returns how
+    many compositions the oracle answered."""
+    got = breaks_outcomes(m, lo, hi)
+    calls = []
+
+    def oracle(chain, a, b):
+        calls.append(chain)
+        return ref_composed_breaks(chain, a, b)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ComposedMap, "breaks", oracle)
+        want = breaks_outcomes(m, lo, hi)
+    assert got == want, (m, lo, hi)
+    return len(calls)
+
+
+def fixture_roots():
+    """(name, n, artifact) for the tests/data targets that build."""
+    return [(name, n, build_root(load_mf(data_path(f"{name}.mf")), n))
+            for name, n, build_root in [
+                ("absorbing_target", 3, build_increasing_root),
+                ("endpoint_target", 2, build_increasing_root),
+                ("square_target", 3, build_increasing_root),
+                ("square_target", 2, lambda F, n: build_decreasing_square_root(F)),
+                ("tail_jump_target", 3, build_increasing_root),
+                ("dec_cube_root", 3, build_decreasing_odd_root)]]
+
+
 class TestComposedBreaks:
-    """ComposedMap.breaks no longer fits the last map of its chain, and
-    gives the cuts the version that fitted every map gave."""
+    """ComposedMap.breaks reads its chain only up to the last non-affine
+    map and does not fit that one, and gives the cuts the version that
+    fitted every map gave."""
 
     def two_piece(self):
         # x/2 on [0, 1/2] and 3x/2 - 1/2 on [1/2, 1]; G^-1(1/2) = 2/3
@@ -430,6 +474,53 @@ class TestComposedBreaks:
             for a, b in zip(cells, cells[1:]):
                 for margin in (Q(1, 4), Q(1, 64)):  # nearer a limit, more cuts
                     assert_breaks_match(br.map, a + (b - a) * margin, b - (b - a) * margin)
+
+    @pytest.mark.parametrize("kind", ["inc", "sq", "odd"])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_roots_of_the_families_and_their_iterates(self, kind, seed, monkeypatch):
+        F, n, art = build(kind, seed, n=2 + seed % 2)
+        assert isinstance(art, RootArtifact)
+        answered = 0
+        for f in (art.realized, iterate(art.realized, n)):
+            for br in f.branches:
+                answered += assert_fitting_breaks_agree(br.map, br.lo, br.hi, monkeypatch)
+        assert answered
+
+    def test_roots_of_the_fixtures_and_their_iterates(self, monkeypatch):
+        answered = 0
+        for name, n, art in fixture_roots():
+            assert isinstance(art, RootArtifact), name
+            for f in (art.realized, iterate(art.realized, n)):
+                for br in f.branches:
+                    answered += assert_fitting_breaks_agree(br.map, br.lo, br.hi,
+                                                            monkeypatch)
+        assert answered
+
+    def test_mirrored_root_evaluates_no_orbit_map(self):
+        # x/2 + 1/2 lies above the diagonal on [1/4, 1]: the root is r∘φ∘r
+        root = mf.scalar_roots._increasing_root_auto(
+            AffineMap(Q(1, 2), Q(1, 2)), Q(1, 4), 1, 2, ScalarRootSeed(anchor=Q(1, 4)))
+        r, phi, r2 = root.witness.maps
+        assert r == r2 and isinstance(r, AffineMap) and isinstance(phi, _OrbitMap)
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return phi(x)
+
+        chain = ComposedMap((r, GenericMap(mf.INC, counted, phi.partner, (), phi), r))
+        lo, hi = Q(3, 8), Q(15, 16)
+        cuts = chain.breaks(lo, hi)
+        assert cuts and calls == []
+        assert cuts == ref_composed_breaks(chain, lo, hi) and calls
+        # in a square the inner φ is still fitted, the outer one is not
+        square = compose_maps(chain, chain)
+        calls.clear()
+        got = square.breaks(lo, hi)
+        fitted = len(calls)
+        calls.clear()
+        assert got == ref_composed_breaks(square, lo, hi)
+        assert 0 < fitted < len(calls)
 
 
 def one_branch(m, orientation=mf.INC):

@@ -633,6 +633,23 @@ class TestDeclaredIntervals:
         with pytest.raises(EvaluationRangeError):
             psi.inverse(Q(-1, 2))
 
+    def test_mirrored_root_names_the_callers_point(self):
+        # x/2 + 1/2 lies above the diagonal on [1/4, 1]: r∘phi∘r with the
+        # reflection r(x) = 5/4 − x, which sends 1/8 to 9/8 and 2 to −3/4
+        root = scalar_roots._increasing_root_auto(
+            AffineMap(Q(1, 2), Q(1, 2)), Q(1, 4), 1, 2, ScalarRootSeed(anchor=Q(1, 4)))
+        assert root.recipe[0] == "mirrored"
+        for x in (Q(1, 8), 2):
+            for direction in (root, root.inverse):
+                with pytest.raises(EvaluationRangeError,
+                                   match=rf"^{format_scalar(x)} outside \[1/4, 1\]$"):
+                    direction(x)
+        # 1/4 is an argument of the inverse, but no value of the root
+        with pytest.raises(EvaluationRangeError,
+                           match=r"^1/4 has no preimage inside \[1/4, 1\]$"):
+            root.inverse(Q(1, 4))
+        assert root.inverse(root(Q(1, 3))) == Q(1, 3)
+
 
 def _glue_cases():
     def root():
@@ -853,7 +870,7 @@ class TestEvaluationCache:
             # keyed on the object: another root with equal data has its own entry
             other = self.lazy_root()
             assert other(Q(1, 3)) == first and len(memo) == 3
-            assert (root, _OrbitMap.__call__.__wrapped__, Q, Q(1, 3)) in memo
+            assert (root, _OrbitMap.__call__.__wrapped__, Q, 1, 3) in memo
         assert scalar_roots._EVALUATIONS.get() is None
 
     def test_both_directions_are_built_once(self):
@@ -866,7 +883,8 @@ class TestEvaluationCache:
             for _ in range(2):
                 assert phi.inverse_map()(w) == Q(1, 3) and len(memo) == 2
                 assert phi.inverse_map().inverse_map()(Q(1, 3)) == w and len(memo) == 2
-            assert (root.partner, _OrbitMap.__call__.__wrapped__, Q, w) in memo
+            assert (root.partner, _OrbitMap.__call__.__wrapped__, Q,
+                    w.numerator, w.denominator) in memo
         assert phi.inverse_map().witness is root.partner and root.partner.partner is root
 
     def test_float_is_never_served_an_exact_value(self):
