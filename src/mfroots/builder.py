@@ -712,6 +712,8 @@ def certify_nonexistence(F: Multifunction, n: int,
                          root_orientation=ANY) -> Optional[Certificate]:
     """First matching nonexistence rule with witnesses, or None
     (inconclusive: existence is neither claimed nor denied)."""
+    if n < 1:
+        raise MfError(f"root order must be >= 1, got {n}")
     _require_valid(F)
     if isinstance(root_orientation, str):
         root_orientation = {"inc": INC, "dec": DEC, ANY: ANY}[root_orientation.lower()]

@@ -666,7 +666,7 @@ def compose(G: Multifunction, F: Multifunction) -> Multifunction:
 def iterate(F: Multifunction, n: int) -> Multifunction:
     """n-fold self-composition, n >= 1."""
     if n < 1:
-        raise ValueError("iteration order must be >= 1")
+        raise MfError(f"iteration order must be >= 1, got {n}")
     acc = F
     for _ in range(n - 1):
         acc = compose(acc, F)

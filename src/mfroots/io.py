@@ -154,7 +154,13 @@ def serialize_mf(F: Multifunction) -> str:
 
 def load_mf(path) -> Multifunction:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_mf(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(exc.object.count(b"\n", 0, exc.start) + 1,
+                             f"{path} is not UTF-8 text: byte "
+                             f"{exc.object[exc.start]:#04x} at offset {exc.start}") from None
+    return parse_mf(text)
 
 
 def save_mf(F: Multifunction, path) -> None:

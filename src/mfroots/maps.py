@@ -47,12 +47,30 @@ INC = Orientation.INC
 DEC = Orientation.DEC
 
 
+# AffineMap evaluates on its coefficients' integer parts and builds each
+# result with one Fraction(num, den), where Fraction's operators normalize
+# after every step.  One normalization costs O(bits²) in the argument,
+# while the operators take gcds only against the small coefficients, so an
+# argument whose denominator reaches this bound takes the operators.  The
+# bound is the measured crossover of a·x + c and (y − c)/a with 3-bit
+# coefficients (min of 15 runs on a 2-vCPU VM): the integer path is 15 %
+# faster at 256 bits (2.45 against 2.84 µs), even at 320 bits and 10 %
+# slower at 384 bits (3.23 against 2.92 µs).
+_KERNEL_BOUND = 1 << 320
+
+
 @dataclass(frozen=True)
 class AffineMap:
-    """x ↦ slope·x + intercept with exact rational coefficients."""
+    """x ↦ slope·x + intercept with exact rational coefficients.
+
+    Calls, inverses and compositions are computed on the coefficients'
+    numerators and denominators; every result is the same canonical
+    Fraction (or float) that the Fraction operators give."""
 
     slope: Fraction
     intercept: Fraction
+    # (slope num, slope den, intercept num, intercept den)
+    _ints: Tuple[int, int, int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # a Fraction is kept as it is: re-wrapping one costs a Rational check
@@ -60,8 +78,10 @@ class AffineMap:
             object.__setattr__(self, "slope", Fraction(self.slope))
         if type(self.intercept) is not Fraction:
             object.__setattr__(self, "intercept", Fraction(self.intercept))
-        if self.slope == 0:
+        if not self.slope:
             raise StructureError("affine map must have nonzero slope")
+        object.__setattr__(self, "_ints", (self.slope.numerator, self.slope.denominator,
+                                           self.intercept.numerator, self.intercept.denominator))
 
     @property
     def orientation(self) -> Orientation:
@@ -72,13 +92,39 @@ class AffineMap:
         return True
 
     def __call__(self, x: Scalar) -> Scalar:
+        if type(x) is int or type(x) is Fraction and x.denominator < _KERNEL_BOUND:
+            sn, sd, tn, td = self._ints
+            p, q = x.numerator, x.denominator
+            return Fraction(sn * p * td + tn * sd * q, sd * q * td)
         return self.slope * x + self.intercept
 
     def inverse(self, y: Scalar) -> Scalar:
+        if type(y) is int or type(y) is Fraction and y.denominator < _KERNEL_BOUND:
+            sn, sd, tn, td = self._ints
+            p, q = y.numerator, y.denominator
+            return Fraction((p * td - tn * q) * sd, q * td * sn)
         return (y - self.intercept) / self.slope
 
     def inverse_map(self) -> "AffineMap":
-        return AffineMap(1 / self.slope, -self.intercept / self.slope)
+        sn, sd, tn, td = self._ints
+        return AffineMap(Fraction(sd, sn), Fraction(-tn * sd, td * sn))
+
+    def after(self, inner: "AffineMap") -> "AffineMap":
+        """self ∘ inner: x ↦ self(inner(x))."""
+        sn, sd, tn, td = self._ints
+        un, ud, vn, vd = inner._ints
+        return AffineMap(Fraction(sn * un, sd * ud),
+                         Fraction(sn * vn * td + tn * sd * vd, sd * vd * td))
+
+    @classmethod
+    def through(cls, x1, y1, x2, y2) -> "AffineMap":
+        """The affine map sending x1 to y1 and x2 to y2, for exact points
+        with x1 != x2 and y1 != y2."""
+        a, b, c, d = x1.denominator, y1.denominator, x2.denominator, y2.denominator
+        slope = Fraction((y2.numerator * b - y1.numerator * d) * a * c,
+                         b * d * (x2.numerator * a - x1.numerator * c))
+        sn, sd = slope.numerator, slope.denominator
+        return cls(slope, Fraction(y1.numerator * sd * a - sn * x1.numerator * b, b * sd * a))
 
     def fixed_point(self) -> Optional[Fraction]:
         if self.slope == 1:
@@ -193,7 +239,7 @@ class GluedMap:
 
     @property
     def is_exact(self) -> bool:
-        return False  # piecewise: comparisons degrade to grids
+        return False  # piecewise: proofs read its pieces (breaks, germ)
 
     def _index(self, x, knots, ascending=True) -> int:
         i = 0
@@ -292,27 +338,24 @@ class ComposedMap:
         chain = self.maps[::-1]
         last = max((i for i, m in enumerate(chain) if not isinstance(m, AffineMap)),
                    default=-1)
-        segments = [(lo, hi, Fraction(1), Fraction(0))]  # x ↦ a·x + b on (p, q)
+        segments = [(lo, hi, _IDENTITY)]  # the chain so far is affine on (p, q)
         for i, m in enumerate(chain[:last + 1]):
             if isinstance(m, AffineMap):
-                segments = [(p, q, m.slope * a, m.slope * b + m.intercept)
-                            for p, q, a, b in segments]
+                segments = [(p, q, m.after(c)) for p, q, c in segments]
                 continue
             split = []
-            for p, q, a, b in segments:
-                ends = (a * p + b, a * q + b)
-                cuts = [(y - b) / a for y in m.breaks(min(ends), max(ends))]
+            for p, q, c in segments:
+                ends = (c(p), c(q))
+                cuts = [c.inverse(y) for y in m.breaks(min(ends), max(ends))]
                 pts = [p, *sorted(cuts), q]
                 for p2, q2 in zip(pts, pts[1:]):
                     if i == last:
-                        split.append((p2, q2, None, None))
+                        split.append((p2, q2, None))
                         continue
                     t1, t2 = p2 + (q2 - p2) / 3, q2 - (q2 - p2) / 3
-                    z1, z2 = m(a * t1 + b), m(a * t2 + b)
-                    a2 = (z2 - z1) / (t2 - t1)
-                    split.append((p2, q2, a2, z1 - a2 * t1))
+                    split.append((p2, q2, AffineMap.through(t1, m(c(t1)), t2, m(c(t2)))))
             segments = split
-        return tuple(p for p, _, _, _ in segments[1:])
+        return tuple(p for p, _, _ in segments[1:])
 
     def limits(self, lo, hi) -> tuple:
         """Each map's accumulation points on the image of [lo, hi] that
@@ -350,6 +393,9 @@ class ComposedMap:
         return "ComposedMap[" + " ∘ ".join(repr(m) for m in self.maps) + "]"
 
 
+_IDENTITY = AffineMap(Fraction(1), Fraction(0))
+
+
 def compose_maps(*maps) -> MonotoneMap:
     """Compose maps (leftmost applied last), folding affine runs exactly."""
     flat = []
@@ -361,10 +407,7 @@ def compose_maps(*maps) -> MonotoneMap:
     folded = []
     for m in flat:
         if folded and isinstance(folded[-1], AffineMap) and isinstance(m, AffineMap):
-            outer = folded.pop()
-            # (outer ∘ m)(x) = outer.slope·(m(x)) + outer.intercept
-            folded.append(AffineMap(outer.slope * m.slope,
-                                    outer.slope * m.intercept + outer.intercept))
+            folded.append(folded.pop().after(m))
         else:
             folded.append(m)
     if len(folded) == 1:
@@ -382,11 +425,9 @@ def iterate_map(m, times: int) -> MonotoneMap:
 
 def reflect_map(m, pivot_sum: Scalar) -> MonotoneMap:
     """Conjugate by the reflection r(x) = pivot_sum − x."""
-    if isinstance(m, AffineMap) and is_exact(pivot_sum):
-        # r ∘ m ∘ r is affine with the same slope.
-        s, t = m.slope, m.intercept
-        return AffineMap(s, pivot_sum * (1 - s) - t)
     refl = AffineMap(Fraction(-1), Fraction(pivot_sum))
+    if isinstance(m, AffineMap) and is_exact(pivot_sum):
+        return refl.after(m).after(refl)
     return compose_maps(refl, m, refl)
 
 

@@ -102,8 +102,11 @@ DEFAULT_SEED = ScalarRootSeed()
 
 
 def _affine_through(x1, y1, x2, y2) -> AffineMap:
-    slope = Fraction(as_scalar(y2) - as_scalar(y1)) / Fraction(as_scalar(x2) - as_scalar(x1))
-    return AffineMap(slope, Fraction(as_scalar(y1)) - slope * Fraction(as_scalar(x1)))
+    x1, y1, x2, y2 = map(as_scalar, (x1, y1, x2, y2))
+    if all(map(is_exact, (x1, y1, x2, y2))):
+        return AffineMap.through(x1, y1, x2, y2)
+    slope = Fraction(y2 - y1) / Fraction(x2 - x1)
+    return AffineMap(slope, Fraction(y1) - slope * Fraction(x1))
 
 
 # ---------------------------------------------------------------------------
@@ -420,11 +423,11 @@ def _preimage_in(w, x, lo, hi):
 # evaluation cache
 # ---------------------------------------------------------------------------
 
-# (lazy map, method, argument type, argument's numerator and denominator)
-# -> value, while a cache is open
+# (id of the lazy map, method, argument type, argument's numerator and
+# denominator) -> (the map, value), while a cache is open; the entry keeps
+# the map alive, so no other object takes its id while the key stands
 _EVALUATIONS: ContextVar[Optional[dict]] = ContextVar("mfroots_evaluations",
                                                       default=None)
-_MISSING = object()
 
 
 @contextlib.contextmanager
@@ -449,12 +452,13 @@ def _memoized(method):
         memo = _EVALUATIONS.get()
         if memo is None or not is_exact(x):
             return method(self, x)
-        # keyed on the parts: hashing a Fraction takes a modular inverse
-        key = (self, method, type(x), x.numerator, x.denominator)
-        value = memo.get(key, _MISSING)
-        if value is _MISSING:
-            value = memo[key] = method(self, x)
-        return value
+        # keyed on the parts: hashing a Fraction takes a modular inverse,
+        # and hashing a composed map walks its chain
+        key = (id(self), method, type(x), x.numerator, x.denominator)
+        entry = memo.get(key)
+        if entry is None:
+            entry = memo[key] = (self, method(self, x))
+        return entry[1]
     return cached
 
 

@@ -71,6 +71,13 @@ class TestCertify:
                            "--order", "2")
         assert code == 0 and out.startswith("UniqueJumpIntensity")
 
+    @pytest.mark.parametrize("order", ["0", "-1"])
+    def test_order_below_one_exit_three(self, capsys, order):
+        code, out, err = run(capsys, "certify", data_path("growth_target.mf"),
+                             "--order", order)
+        assert code == 3 and out == ""
+        assert err == f"error: root order must be >= 1, got {order}\n"
+
 
 class TestRoot:
     def test_exact_root_prints_mf(self, capsys, tmp_path):
@@ -157,6 +164,15 @@ class TestIterate:
         F = load_mf(data_path("square_target.mf"))
         import mfroots as mf
         assert mf.equivalent(G, F).equal
+
+    @pytest.mark.parametrize("n", ["0", "-1"])
+    def test_order_below_one_exit_three(self, capsys, tmp_path, n):
+        out_path = tmp_path / "it.mf"
+        code, out, err = run(capsys, "iterate", data_path("square_root.mf"),
+                             "-n", n, "-o", str(out_path))
+        assert code == 3 and out == ""
+        assert err == f"error: iteration order must be >= 1, got {n}\n"
+        assert not out_path.exists()
 
 
 class TestPlotData:

@@ -208,3 +208,15 @@ class TestHostileInput:
         assert code in (0, 3)
         assert "Traceback" not in err.getvalue()
         assert (code == 3) == err.getvalue().startswith("error: ")
+
+    @pytest.mark.parametrize("data, line_no", [(b"\xff\xfe", 1),
+                                               (b"domain 0 1\nmonotone inc\n\xff\n", 3)])
+    def test_non_utf8_file_is_a_parse_error(self, tmp_path, capsys, data, line_no):
+        path = tmp_path / "latin.mf"
+        path.write_bytes(data)
+        with pytest.raises(ParseError, match="latin.mf is not UTF-8") as info:
+            load_mf(path)
+        assert info.value.line_no == line_no
+        assert main(["analyze", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: line {line_no}: ") and "latin.mf" in err

@@ -3,7 +3,9 @@
 from fractions import Fraction as Q
 
 import pytest
+from hypothesis import example, given, strategies as st
 
+from mfroots import maps
 from mfroots.errors import StructureError
 from mfroots.maps import (
     AffineMap,
@@ -50,6 +52,63 @@ class TestAffine:
         inc = AffineMap(Q(1, 2), 0)
         assert compose_maps(dec, dec).orientation is INC
         assert ComposedMap((dec, inc)).orientation is DEC
+
+
+BOUND = maps._KERNEL_BOUND
+# parts on both sides of the argument-size bound: small, near it, far past it
+parts = st.one_of(st.integers(1, 2 ** 12), st.integers(BOUND - 4, BOUND + 4),
+                  st.integers(BOUND, BOUND ** 3))
+fractions = st.builds(lambda sign, p, q: sign * Q(p, q), st.sampled_from((1, -1)), parts, parts)
+arguments = st.one_of(fractions, st.integers(-(2 ** 140), 2 ** 140),
+                      st.floats(-1e6, 1e6, allow_nan=False))
+
+
+def same(got, want):
+    """Equal values of one type; a float bit for bit."""
+    assert type(got) is type(want)
+    assert got.hex() == want.hex() if isinstance(want, float) else got == want
+
+
+class TestKernel:
+    """The integer kernel gives what the Fraction operators give, for
+    small and large coefficients and on both sides of the argument-size
+    bound."""
+
+    @given(fractions, fractions, arguments)
+    @example(Q(-3, 7), Q(1, 5), Q(1, BOUND - 1))
+    @example(Q(-3, 7), Q(1, 5), Q(1, BOUND))
+    @example(Q(1, BOUND), Q(2, 3), Q(5, 9))
+    @example(Q(BOUND, 3), Q(2, 3), 5)
+    @example(Q(-1, 3), Q(2, 3), 0.1)
+    def test_call_and_inverse(self, s, t, x):
+        m = AffineMap(s, t)
+        same(m(x), s * x + t)
+        same(m.inverse(x), (x - t) / s)
+
+    @given(fractions, fractions, fractions, fractions)
+    @example(Q(-3, 7), Q(1, 5), Q(BOUND, 3), Q(1, BOUND))
+    def test_inverse_map_and_after(self, s, t, u, v):
+        m, inner = AffineMap(s, t), AffineMap(u, v)
+        inv = m.inverse_map()
+        same(inv.slope, 1 / s)
+        same(inv.intercept, -t / s)
+        both = m.after(inner)
+        same(both.slope, s * u)
+        same(both.intercept, s * v + t)
+
+    @given(fractions, fractions, fractions, fractions)
+    @example(Q(1, 3), Q(1, 5), Q(1, BOUND), Q(2, 7))
+    def test_through(self, x1, y1, x2, y2):
+        if x1 == x2 or y1 == y2:
+            return
+        m = AffineMap.through(x1, y1, x2, y2)
+        slope = (y2 - y1) / (x2 - x1)
+        same(m.slope, slope)
+        same(m.intercept, y1 - slope * x1)
+
+    def test_integer_parts_of_any_size(self):
+        assert AffineMap(Q(-3, 7), Q(1, 5))._ints == (-3, 7, 1, 5)
+        assert AffineMap(Q(BOUND ** 2, 3), Q(1, BOUND))._ints == (BOUND ** 2, 3, 1, BOUND)
 
 
 class TestGlued:

@@ -9,7 +9,14 @@ from hypothesis import given, settings, strategies as st
 
 import mfroots as mf
 from mfroots import builder, scalar_roots
-from mfroots.maps import AffineMap, GenericMap, GluedMap, compose_maps, iterate_map
+from mfroots.maps import (
+    AffineMap,
+    ComposedMap,
+    GenericMap,
+    GluedMap,
+    compose_maps,
+    iterate_map,
+)
 from mfroots.scalar_roots import (
     ScalarRootSeed,
     _OrbitMap,
@@ -33,7 +40,13 @@ from mfroots.errors import (
 from mfroots.io import load_mf
 from mfroots.scalars import format_scalar
 
-from conftest import data_path, lazy_objects, random_direct_routed
+from conftest import (
+    data_path,
+    lazy_objects,
+    random_dec_selfpair_target,
+    random_direct_routed,
+    random_reversing_pair_target,
+)
 
 GRID = [Q(i, 997) for i in range(1, 997)]
 
@@ -852,6 +865,16 @@ class TestSeedMap:
             assert outcome(inverse, w) == outcome(seed_inverse_by_scan, root.seed, w), w
 
 
+def _generic_maps(m):
+    """The generic maps in m, through witnesses, compositions and glues."""
+    if isinstance(m, GenericMap):
+        yield m
+        m = m.witness
+    if isinstance(m, (ComposedMap, GluedMap)):
+        for part in m.maps if isinstance(m, ComposedMap) else m.pieces:
+            yield from _generic_maps(part)
+
+
 class TestEvaluationCache:
     def lazy_root(self):
         # x -> x/4 on [0, 1], seeded at 1 with division 3/4: an orbit root
@@ -867,10 +890,12 @@ class TestEvaluationCache:
             first = phi(Q(1, 3))
             assert phi(Q(1, 3)) == first and len(memo) == 1
             assert phi.inverse(first) == Q(1, 3) and len(memo) == 2
-            # keyed on the object: another root with equal data has its own entry
+            # keyed on the object's id: another root with equal data has its
+            # own entry, and each entry holds its map alive
             other = self.lazy_root()
             assert other(Q(1, 3)) == first and len(memo) == 3
-            assert (root, _OrbitMap.__call__.__wrapped__, Q, 1, 3) in memo
+            key = (id(root), _OrbitMap.__call__.__wrapped__, Q, 1, 3)
+            assert memo[key][0] is root and memo[key][1] == first
         assert scalar_roots._EVALUATIONS.get() is None
 
     def test_both_directions_are_built_once(self):
@@ -883,8 +908,8 @@ class TestEvaluationCache:
             for _ in range(2):
                 assert phi.inverse_map()(w) == Q(1, 3) and len(memo) == 2
                 assert phi.inverse_map().inverse_map()(Q(1, 3)) == w and len(memo) == 2
-            assert (root.partner, _OrbitMap.__call__.__wrapped__, Q,
-                    w.numerator, w.denominator) in memo
+            assert memo[(id(root.partner), _OrbitMap.__call__.__wrapped__, Q,
+                         w.numerator, w.denominator)] == (root.partner, Q(1, 3))
         assert phi.inverse_map().witness is root.partner and root.partner.partner is root
 
     def test_float_is_never_served_an_exact_value(self):
@@ -953,6 +978,29 @@ class TestEvaluationCache:
         with pytest.raises(mf.errors.MfError, match="fails validation"):
             builder._finish(F, broken, 3, "increasing", "inc", {})
         assert scalar_roots._EVALUATIONS.get() is None
+
+    @pytest.mark.parametrize("kind", ["glued", "mirrored"])
+    def test_finish_hashes_no_composed_map(self, kind, monkeypatch):
+        # a decreasing square root glues two conjugacies, and a decreasing
+        # cubic root holds a mirrored root r∘φ∘r, a composed lazy map
+        if kind == "glued":
+            F, n = random_reversing_pair_target(random.Random(0)), 2
+            art = builder.build_decreasing_square_root(F)
+        else:
+            F, n = random_dec_selfpair_target(random.Random(0)), 3
+            art = builder.build_decreasing_odd_root(F, 3)
+        recipes = {m.recipe[0] for br in art.realized.branches
+                   for m in _generic_maps(br.map)}
+        assert {"glued_conjugacy" if kind == "glued" else "mirrored"} <= recipes
+        hashed, evaluated = [], []
+        call = ComposedMap.__call__
+        monkeypatch.setattr(ComposedMap, "__hash__", lambda m: hashed.append(m) or id(m))
+        monkeypatch.setattr(ComposedMap, "__call__",
+                            lambda m, x: evaluated.append(m) or call(m, x))
+        again = builder._finish(F, art.realized, n, art.recipe.pipeline,
+                                art.recipe.orientation, art.recipe.payload)
+        assert again.verification == art.verification
+        assert evaluated and not hashed
 
     def test_orbit_steps_of_a_build(self, monkeypatch):
         # building and checking the cube root of the absorbing fixture
