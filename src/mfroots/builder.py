@@ -29,6 +29,7 @@ from .core import (
     prove_equivalent,
 )
 from .errors import (
+    BadSeedError,
     ConditionJStarViolatedError,
     EvaluationRangeError,
     IncompatiblePatternError,
@@ -210,15 +211,33 @@ def _seed_to_payload(seed: Optional[ScalarRootSeed]):
 
 
 def seed_from_payload(data) -> Optional[ScalarRootSeed]:
+    """The seed of a JSON payload: an object whose keys anchor and
+    image_anchor hold a scalar, divisions a list of them and affine the
+    pair [slope, intercept], each optional.  Raises ``BadSeedError`` for
+    any other payload."""
     if data is None:
         return None
-    return ScalarRootSeed(
-        None if data.get("anchor") is None else as_scalar(data["anchor"]),
-        None if data.get("divisions") is None else tuple(as_scalar(d) for d in data["divisions"]),
-        None if data.get("image_anchor") is None else as_scalar(data["image_anchor"]),
-        None if data.get("affine") is None else (as_scalar(data["affine"][0]),
-                                                 as_scalar(data["affine"][1])),
-    )
+    if not isinstance(data, dict):
+        raise BadSeedError(f"a seed is a JSON object, not a {type(data).__name__}")
+
+    def read(key, many=False):
+        value = data.get(key)
+        if value is None:
+            return None
+        try:
+            if not many:
+                return as_scalar(value)
+            if not isinstance(value, (list, tuple)):
+                raise TypeError(f"expected a list, got {value!r}")
+            return tuple(as_scalar(v) for v in value)
+        except (TypeError, ValueError) as exc:
+            raise BadSeedError(f"seed {key}: {exc}") from None
+
+    affine = read("affine", many=True)
+    if affine is not None and len(affine) != 2:
+        raise BadSeedError("seed affine: expected [slope, intercept]")
+    return ScalarRootSeed(read("anchor"), read("divisions", many=True),
+                          read("image_anchor"), affine)
 
 
 def _map_recipe(m) -> object:

@@ -16,7 +16,7 @@ from . import builder as bld
 from . import io as mfio
 from . import structure as st
 from .core import Multifunction
-from .errors import MfError, NoSingleTargetError
+from .errors import BadSeedError, MfError, NoSingleTargetError
 from .maps import DEC, INC
 from .scalars import format_scalar
 
@@ -88,8 +88,11 @@ def _iterate(args) -> int:
 def _load_seed(path):
     if path is None:
         return None
-    with open(path, "r", encoding="utf-8") as fh:
-        return bld.seed_from_payload(json.load(fh))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return bld.seed_from_payload(json.load(fh))
+    except (ValueError, BadSeedError) as exc:  # undecodable, not JSON, or not a seed
+        raise BadSeedError(f"seed file {path}: {exc}") from None
 
 
 def _root(args) -> int:

@@ -867,13 +867,32 @@ def _witness_pieces(W, u, v, limits):
 
 
 def _piece_points(cells, pieces):
-    """The cells, the ends of each piece and two inner points of it, where
-    an affine piece is settled whether or not W is continuous at its ends."""
-    points = set(cells)
+    """(points, at): the cells, the ends of each piece and two inner points
+    of it, where an affine piece is settled whether or not W is continuous
+    at its ends, in increasing order and each once; piece i's lower end is
+    points[at[i]], and its inner points and upper end follow it.
+
+    The pieces come in increasing order, and no cell lies inside one, so
+    the cells merge in one pass; consecutive pieces of a span share an end."""
+    points: list = []
+    at = []
+
+    def add(x):
+        if not points or (x is not points[-1] and x != points[-1]):
+            points.append(x)
+
+    c = 0
     for p, q in pieces:
+        while c < len(cells) and cells[c] <= p:
+            add(cells[c])
+            c += 1
+        add(p)
+        at.append(len(points) - 1)
         third = (q - p) / 3
-        points.update((p, p + third, q - third, q))
-    return sorted(points)
+        points.extend((p + third, q - third, q))
+    for x in cells[c:]:
+        add(x)
+    return points, at
 
 
 def _exact_value(W, x):
@@ -888,7 +907,7 @@ def _prove_branch(W, A: AffineMap, u, v, limits):
     pieces, and x is None, or x is a point where they differ; ``limits``
     are the points of [u, v] where W's pieces accumulate."""
     cells, pieces = _witness_pieces(W, u, v, limits)
-    for x in _piece_points(cells, pieces):
+    for x in _piece_points(cells, pieces)[0]:
         if _exact_value(W, x) != A(x):
             return len(pieces), x
     return len(pieces), None
@@ -907,20 +926,25 @@ def _prove_monotone(W, u, v, inc: bool):
     monotone there once it is on one fundamental domain, and W(e), the
     fixed point of g', bounds the values there once it bounds the domain's."""
     cells, pieces = _witness_pieces(W, u, v, W.limits(u, v))
-    w = {x: _exact_value(W, x) for x in _piece_points(cells, pieces)}
-    marks = {(x, 1): w[x] for x in cells}  # (x, 0|1|2): W(x−), W(x), W(x+)
-    for p, q in pieces:
-        third = (q - p) / 3
-        w1, w2 = w[p + third], w[q - third]
+    points, at = _piece_points(cells, pieces)
+    w = [_exact_value(W, x) for x in points]  # every value before any verdict
+    # W(x+) at each piece's lower end and W(x−) at its upper end, taken
+    # from the piece; once its slope has the right sign, the values at its
+    # inner points lie strictly between these two
+    after, before = {}, {}
+    for i in at:
+        w1, w2 = w[i + 1], w[i + 2]
         if not (w1 < w2 if inc else w1 > w2):
-            return p + third
-        marks[p, 1], marks[q, 1] = w[p], w[q]
-        marks[p, 2], marks[q, 0] = 2 * w1 - w2, 2 * w2 - w1
+            return points[i + 1]
+        after[i], before[i + 3] = 2 * w1 - w2, 2 * w2 - w1
     prev = None
-    for (x, _), value in sorted(marks.items()):
-        if prev is not None and (value < prev if inc else value > prev):
-            return x
-        prev = value
+    for i, x in enumerate(points):
+        for value in (before.get(i), w[i], after.get(i)):
+            if value is None:
+                continue
+            if prev is not None and (value < prev if inc else value > prev):
+                return x
+            prev = value
     return None
 
 

@@ -21,7 +21,10 @@ raises ``NoExactProofError`` naming the map when it has none.
 from __future__ import annotations
 
 import bisect
+import contextlib
 import enum
+import functools
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Tuple
@@ -85,7 +88,7 @@ class AffineMap:
 
     @property
     def orientation(self) -> Orientation:
-        return INC if self.slope > 0 else DEC
+        return INC if self._ints[0] > 0 else DEC
 
     @property
     def is_exact(self) -> bool:
@@ -212,6 +215,72 @@ class GenericMap:
 MonotoneMap = object  # duck type: AffineMap | GenericMap | ComposedMap | GluedMap
 
 
+# ---------------------------------------------------------------------------
+# evaluation cache
+# ---------------------------------------------------------------------------
+
+# while a cache is open: (id of a map, method, argument type, argument's
+# numerator and denominator) -> (the map, value) for a point; (id of a
+# map, method, the ends' numerators and denominators) -> (the map, pieces)
+# for a span; and (id of an orbit's landed knots, power) -> (the knots,
+# their images under the power) for ``scalar_roots._orbit_points``.  An
+# entry keeps its object alive, so no other object takes the id while the
+# key stands
+_EVALUATIONS: ContextVar[Optional[dict]] = ContextVar("mfroots_evaluations",
+                                                      default=None)
+
+
+@contextlib.contextmanager
+def evaluation_cache():
+    """Memoize, inside the block, the exact evaluations of the lazy orbit
+    maps (both directions of each ``scalar_roots._OrbitMap``) and of the
+    composed and glued lazy maps, and the pieces of orbit, composed and
+    glued maps on each span: a proof asks the same maps at the same points
+    and on the same spans again and again.  The memo is dropped when the
+    block ends, also when it raises."""
+    token = _EVALUATIONS.set({})
+    try:
+        yield
+    finally:
+        _EVALUATIONS.reset(token)
+
+
+def _memoized(method):
+    """``method(self, x)`` looked up in the open evaluation cache.  Only an
+    exact x is looked up or stored, so a float is never answered with an
+    exact value; a call that raises stores nothing."""
+    @functools.wraps(method)
+    def cached(self, x):
+        memo = _EVALUATIONS.get()
+        if memo is None or not is_exact(x):
+            return method(self, x)
+        # keyed on the parts: hashing a Fraction takes a modular inverse,
+        # and hashing a composed map walks its chain
+        key = (id(self), method, type(x), x.numerator, x.denominator)
+        entry = memo.get(key)
+        if entry is None:
+            entry = memo[key] = (self, method(self, x))
+        return entry[1]
+    return cached
+
+
+def _span_memoized(method):
+    """``method(self, lo, hi)``, the pieces of a map on a span, looked up in
+    the open evaluation cache when both ends are Fractions; a call that
+    raises stores nothing."""
+    @functools.wraps(method)
+    def cached(self, lo, hi):
+        memo = _EVALUATIONS.get()
+        if memo is None or type(lo) is not Fraction or type(hi) is not Fraction:
+            return method(self, lo, hi)
+        key = (id(self), method, lo.numerator, lo.denominator, hi.numerator, hi.denominator)
+        entry = memo.get(key)
+        if entry is None:
+            entry = memo[key] = (self, method(self, lo, hi))
+        return entry[1]
+    return cached
+
+
 class GluedMap:
     """Continuous strictly monotone map glued from pieces at interior
     knots; the adjacent pieces must agree at each knot.  ``value_knots``,
@@ -278,12 +347,18 @@ class GluedMap:
             if a < b:
                 yield piece, a, b
 
+    @_span_memoized
     def breaks(self, lo, hi) -> tuple:
-        pts = [k for k in self.knots if lo < k < hi]
+        # in order: each piece's breaks lie inside its span, which opens at
+        # a knot unless it opens at lo
+        pts: list = []
         for piece, a, b in self._spans(lo, hi):
+            if a != lo:
+                pts.append(a)
             pts.extend(piece.breaks(a, b))
-        return tuple(sorted(pts))
+        return tuple(pts)
 
+    @_span_memoized
     def limits(self, lo, hi) -> tuple:
         return tuple(sorted({e for piece, a, b in self._spans(lo, hi)
                              for e in piece.limits(a, b)}))
@@ -326,6 +401,7 @@ class ComposedMap:
     def inverse_map(self):
         return ComposedMap(tuple(m.inverse_map() for m in reversed(self.maps)))
 
+    @_span_memoized
     def breaks(self, lo, hi) -> tuple:
         """Carried forward map by map: the chain applied so far is affine
         on each open segment between the cuts found so far, so the next
@@ -345,9 +421,13 @@ class ComposedMap:
                 continue
             split = []
             for p, q, c in segments:
-                ends = (c(p), c(q))
-                cuts = [c.inverse(y) for y in m.breaks(min(ends), max(ends))]
-                pts = [p, *sorted(cuts), q]
+                # m's breaks come in increasing order, and c turns them
+                # about when it decreases
+                if c.orientation is INC:
+                    cuts = [c.inverse(y) for y in m.breaks(c(p), c(q))]
+                else:
+                    cuts = [c.inverse(y) for y in reversed(m.breaks(c(q), c(p)))]
+                pts = [p, *cuts, q]
                 for p2, q2 in zip(pts, pts[1:]):
                     if i == last:
                         split.append((p2, q2, None))
@@ -357,6 +437,7 @@ class ComposedMap:
             segments = split
         return tuple(p for p, _, _ in segments[1:])
 
+    @_span_memoized
     def limits(self, lo, hi) -> tuple:
         """Each map's accumulation points on the image of [lo, hi] that
         reaches it, pulled back through the inverses and checked going
@@ -375,8 +456,7 @@ class ComposedMap:
                     raise NoExactProofError(
                         f"{m!r}: an accumulation point does not pull back through the chain")
                 found.add(x)
-            ends = (m(lo), m(hi))
-            lo, hi = min(ends), max(ends)
+            lo, hi = (m(lo), m(hi)) if m.orientation is INC else (m(hi), m(lo))
             inner.append(m)
         return tuple(sorted(found))
 

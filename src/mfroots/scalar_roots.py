@@ -29,10 +29,8 @@ knots; a composition or glue of orbit maps is proved through them.
 from __future__ import annotations
 
 import bisect
-import contextlib
 import functools
 import math
-from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
@@ -53,7 +51,11 @@ from .maps import (
     GenericMap,
     GluedMap,
     Orientation,
+    _EVALUATIONS,
+    _memoized,
+    _span_memoized,
     compose_maps,
+    evaluation_cache,  # re-exported: the builder opens it around a proof
     iterate_map,
     reflect_map,
 )
@@ -263,6 +265,18 @@ class _SeedMap:
         images = [sorted((m(lo), m(hi))) for lo, hi, m in pieces]
         self.img_los = [a for a, _ in images]
         self.img_his = [b for _, b in images]
+        self._landed: dict = {}  # images -> (domain, landed knots)
+
+    def landed(self, dom: "_Domain", images: bool) -> tuple:
+        """The ends of the pieces, or of their images when ``images``,
+        landed in dom along its orbits: in increasing order, each once.
+        Taken once per seed and domain, so a new seed reads no old knots."""
+        entry = self._landed.get(images)
+        if entry is None or entry[0] is not dom:
+            knots = (*self.img_los, *self.img_his) if images else (*self.los, self.top)
+            entry = self._landed[images] = (
+                dom, tuple(sorted({_orbit_land(dom, t)[0] for t in knots})))
+        return entry[1]
 
     def piece(self, x):
         """The map of the piece that holds x."""
@@ -300,6 +314,11 @@ class _Domain:
         self.fixed = None
         if isinstance(g, AffineMap) and g.slope > 0 and is_exact(anchor):
             self.fixed = g.fixed_point()
+        # the ends' integer parts, which exact points are compared on
+        self.parts = None
+        if is_exact(anchor) and is_exact(self.image):
+            self.parts = (anchor.numerator, anchor.denominator,
+                          self.image.numerator, self.image.denominator)
 
 
 def _log_abs(q: Fraction) -> float:
@@ -310,27 +329,49 @@ def _log_abs(q: Fraction) -> float:
 def _jump_power(s: Fraction, e: Fraction, t: Fraction) -> int:
     """Estimate of the k with s^k·e between t (closed) and s·t (open),
     within one of the exact value; e and t are offsets from the fixed
-    point, and e must lie on t's side of it."""
+    point, and e must lie on t's side of it.
+
+    A jump stands for |k| single steps, and s^k has |k| times the bits of
+    s.  It may stand for more steps than the walk cap _MAX_ORBIT_STEPS,
+    so that deep points of fast orbits land (x ↦ x/2 at 2^−250000 jumps
+    250 000), but not for ten times more: that is a slope so near 1 that
+    log(s) rounds toward 0, and its power would take hours to build."""
     if not e or not t or (e.numerator < 0) != (t.numerator < 0):
         raise EvaluationRangeError("orbit never reaches the fundamental domain")
-    return -math.floor((_log_abs(e) - _log_abs(t)) / math.log(s))
+    log_s = math.log(s)
+    if log_s:
+        k = -math.floor((_log_abs(e) - _log_abs(t)) / log_s)
+        if abs(k) <= 10 * _MAX_ORBIT_STEPS:
+            return k
+    raise EvaluationRangeError("orbit normalization diverged")
 
 
 def _orbit_land(dom: _Domain, x):
     """(g^k(x), k) for the k that lands x in the domain dom of g.
 
     Points already in the domain cost two comparisons, and near ones a
-    step or two.  Past _WALK steps an exact affine orbit jumps to the
-    estimated power, lands within a step of the domain, and the walk
+    step or two; an exact point is compared on integer parts, a float
+    with the operators.  Past _WALK steps an exact affine orbit jumps to
+    the estimated power, lands within a step of the domain, and the walk
     finishes.  Points above the domain step down first, and a walk that
     stepped up never steps down again: only float rounding could ask it to."""
     g, anchor, image, down, p = dom.g, dom.anchor, dom.image, dom.down, dom.fixed
+    parts = dom.parts
     k = walked = 0
     rose = False
     while True:
-        if not rose and ((x > anchor) if down else (x >= image)):
+        if parts is not None and (type(x) is Fraction or type(x) is int):
+            an, ad, bn, bd = parts
+            xn, xd = x.numerator, x.denominator
+            # x > anchor and x <= image, or x >= image and x < anchor
+            beyond = xn * ad > an * xd if down else xn * bd >= bn * xd
+            short = xn * bd <= bn * xd if down else xn * ad < an * xd
+        else:
+            beyond = (x > anchor) if down else (x >= image)
+            short = (x <= image) if down else (x < anchor)
+        if not rose and beyond:
             step = 1 if down else -1
-        elif (x <= image) if down else (x < anchor):
+        elif short:
             step, rose = (-1 if down else 1), True
         else:
             return x, k
@@ -382,18 +423,31 @@ def _orbit_carry(dom_in: _Domain, dom_out: _Domain, x, y, k, piece, inverse=Fals
     return p_out + a * (s_in / s_out) ** k * e + c * s_out ** -k
 
 
-def _orbit_points(dom: _Domain, knots, lo, hi):
-    """The points of the orbits of knots under dom's map strictly inside
-    (lo, hi); [lo, hi] lies in the basin of the attracting point."""
-    k_lo, k_hi = sorted((_orbit_land(dom, lo)[1], _orbit_land(dom, hi)[1]))
-    out = set()
-    for t in knots:
-        y = _orbit_land(dom, t)[0]
-        for k in range(k_lo, k_hi + 1):
-            x = _orbit_power(dom, y, -k)
-            if lo < x < hi:
-                out.add(x)
-    return sorted(out)
+def _orbit_points(dom: _Domain, knots: tuple, lo, hi) -> list:
+    """The points of the orbits under dom's map g of knots, which lie in
+    dom in increasing order, strictly inside (lo, hi), in increasing order;
+    [lo, hi] lies in the basin of the attracting point.
+
+    The points that g^k lands in dom form one interval for each k, and
+    the intervals follow each other as k rises when g moves points down,
+    as k falls when it moves them up.  So only the powers of lo and of hi
+    reach past an end.  The points of each power are memoized in the open
+    evaluation cache."""
+    k_lo, k_hi = _orbit_land(dom, lo)[1], _orbit_land(dom, hi)[1]
+    step = 1 if dom.down else -1
+    memo = _EVALUATIONS.get()
+    out: list = []
+    for k in range(k_lo, k_hi + step, step):
+        entry = None if memo is None else memo.get((id(knots), k))
+        if entry is None:
+            entry = (knots, [_orbit_power(dom, y, -k) for y in knots])
+            if memo is not None:
+                memo[id(knots), k] = entry
+        if k == k_lo or k == k_hi:
+            out.extend(x for x in entry[1] if lo < x < hi)
+        else:
+            out.extend(entry[1])
+    return out
 
 
 def _exact_generator(g, fixed) -> bool:
@@ -402,9 +456,18 @@ def _exact_generator(g, fixed) -> bool:
             and is_exact(fixed) and g(fixed) == fixed)
 
 
+def _within(x, lo, hi) -> bool:
+    """lo <= x <= hi, on the integer parts when all three are Fractions."""
+    if type(x) is Fraction and type(lo) is Fraction and type(hi) is Fraction:
+        xn, xd = x.numerator, x.denominator
+        return (lo.numerator * xd <= xn * lo.denominator
+                and xn * hi.denominator <= hi.numerator * xd)
+    return lo <= x <= hi
+
+
 def _in_range(x, lo, hi):
     """x itself when it lies in [lo, hi]; orbit maps never extrapolate."""
-    if not lo <= x <= hi:
+    if not _within(x, lo, hi):
         raise EvaluationRangeError(
             f"{format_scalar(x)} outside [{format_scalar(lo)}, {format_scalar(hi)}]")
     return x
@@ -412,54 +475,11 @@ def _in_range(x, lo, hi):
 
 def _preimage_in(w, x, lo, hi):
     """x, the preimage of w, when it lies in [lo, hi]."""
-    if not lo <= x <= hi:
+    if not _within(x, lo, hi):
         raise EvaluationRangeError(
             f"{format_scalar(w)} has no preimage inside "
             f"[{format_scalar(lo)}, {format_scalar(hi)}]")
     return x
-
-
-# ---------------------------------------------------------------------------
-# evaluation cache
-# ---------------------------------------------------------------------------
-
-# (id of the lazy map, method, argument type, argument's numerator and
-# denominator) -> (the map, value), while a cache is open; the entry keeps
-# the map alive, so no other object takes its id while the key stands
-_EVALUATIONS: ContextVar[Optional[dict]] = ContextVar("mfroots_evaluations",
-                                                      default=None)
-
-
-@contextlib.contextmanager
-def evaluation_cache():
-    """Memoize the exact evaluations of the lazy orbit maps (both
-    directions of each ``_OrbitMap``) inside the block, which asks the
-    same maps at the same points again and again; the memo is dropped when
-    the block ends, also when it raises."""
-    token = _EVALUATIONS.set({})
-    try:
-        yield
-    finally:
-        _EVALUATIONS.reset(token)
-
-
-def _memoized(method):
-    """``method(self, x)`` looked up in the open evaluation cache.  Only an
-    exact x is looked up or stored, so a float is never answered with an
-    exact value; a call that raises stores nothing."""
-    @functools.wraps(method)
-    def cached(self, x):
-        memo = _EVALUATIONS.get()
-        if memo is None or not is_exact(x):
-            return method(self, x)
-        # keyed on the parts: hashing a Fraction takes a modular inverse,
-        # and hashing a composed map walks its chain
-        key = (id(self), method, type(x), x.numerator, x.denominator)
-        entry = memo.get(key)
-        if entry is None:
-            entry = memo[key] = (self, method(self, x))
-        return entry[1]
-    return cached
 
 
 # ---------------------------------------------------------------------------
@@ -580,19 +600,19 @@ class _OrbitMap:
         return GenericMap(self.orientation, self, self.partner, self.recipe,
                           self if self.exact else None)
 
+    @_span_memoized
     def breaks(self, lo, hi) -> tuple:
         fixed = self.ends[0][0]
-        if lo <= fixed <= hi:
+        if _within(fixed, lo, hi):
             raise NoExactProofError(
                 f"{self.name}: pieces accumulate at {format_scalar(fixed)}")
         # the ends of the seed's pieces, or of their images, along the orbit
-        seed = self.seed
-        knots = {*seed.img_los, *seed.img_his} if self.inverted else (*seed.los, seed.top)
+        knots = self.seed.landed(self.land, self.inverted)
         return tuple(_orbit_points(self.land, knots, lo, hi))
 
-    def limits(self, lo, hi) -> tuple:
+    def limits(self, lo, hi) -> tuple:  # one comparison pair: cheaper than a lookup
         fixed = self.ends[0][0]
-        return (fixed,) if lo <= fixed <= hi else ()
+        return (fixed,) if _within(fixed, lo, hi) else ()
 
     def germ(self, z, side) -> list:
         return [self]

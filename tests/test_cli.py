@@ -1,9 +1,15 @@
 """Command-line interface: outputs, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import mfroots
 from mfroots.cli import main
 from mfroots.io import load_mf, load_recipe
 
@@ -116,6 +122,41 @@ class TestRoot:
                            "--seed", str(seed), "-o", str(recipe))
         assert code == 0
         assert "branch 1/2 1 affine -1/4 3/8" in out
+
+    @pytest.mark.parametrize("text,why", [
+        ('{"anchor": "1/2"', "Expecting ',' delimiter"),
+        ("[1, 2]", "a seed is a JSON object, not a list"),
+        ('{"anchor": "abc"}', "seed anchor: not a rational literal: 'abc'"),
+        ('{"divisions": 3}', "seed divisions: expected a list, got 3"),
+        ('{"affine": ["1"]}', "seed affine: expected [slope, intercept]"),
+    ], ids=["malformed", "list", "bad-literal", "scalar-divisions", "short-affine"])
+    def test_hostile_seed_file_exit_three(self, capsys, tmp_path, text, why):
+        seed = tmp_path / "seed.json"
+        seed.write_text(text)
+        code, out, err = run(capsys, "root", data_path("square_target.mf"),
+                             "--order", "2", "--monotone", "dec",
+                             "--seed", str(seed), "-o", str(tmp_path / "r.mfr"))
+        assert code == 3 and out == ""
+        assert err.startswith(f"error: seed file {seed}: ") and why in err
+        assert not (tmp_path / "r.mfr").exists()
+
+    @pytest.mark.parametrize("slope", ["99999999999999999999999/100000000000000000000000",
+                                       "999999999999/1000000000000"],
+                             ids=["log-rounds-to-zero", "jump-of-1e13-steps"])
+    def test_slope_near_one_exit_three_in_seconds(self, tmp_path, slope):
+        # a separate process, so that a hang fails at the timeout
+        target = tmp_path / "near_one.mf"
+        target.write_text(f"domain 0 1\nmonotone inc\nbranch 0 1 affine {slope} 0\n")
+        src = str(Path(mfroots.__file__).resolve().parents[1])
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "mfroots.cli", "root", str(target), "--order", "2",
+             "--monotone", "inc", "-o", str(tmp_path / "r.mfr")],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+            timeout=60)
+        assert proc.returncode == 3
+        assert proc.stderr == "error: orbit normalization diverged\n"
+        assert time.perf_counter() - start < 10
 
     def test_certificate_outcome(self, capsys, tmp_path):
         code, out, _ = run(capsys, "root", data_path("j3_target.mf"),

@@ -111,6 +111,18 @@ class TestKernel:
         assert AffineMap(Q(BOUND ** 2, 3), Q(1, BOUND))._ints == (BOUND ** 2, 3, 1, BOUND)
 
 
+class Sixteenths:
+    """Identity piece that reports a break at each multiple of 1/16."""
+
+    orientation = INC
+
+    def __call__(self, x):
+        return x
+
+    def breaks(self, lo, hi) -> tuple:
+        return tuple(Q(i, 16) for i in range(17) if lo < Q(i, 16) < hi)
+
+
 class TestGlued:
     def test_increasing_glue_and_inverse(self):
         left = AffineMap(Q(1, 2), 0)                 # on [0, 1/2], value 1/4 at knot
@@ -145,6 +157,19 @@ class TestGlued:
         assert isinstance(g(Q(1, 2)), float)
         back = g.inverse(g(Q(1, 2)))
         assert isinstance(back, Q) and back == Q(1, 2)
+
+    @pytest.mark.parametrize("lo,hi", [
+        (0, 1), (Q(1, 4), Q(3, 4)), (Q(1, 4), Q(1, 2)), (Q(1, 2), 1), (0, Q(1, 4)),
+        (Q(1, 3), Q(5, 8)), (Q(1, 2), Q(9, 16)), (Q(1, 8), Q(1, 4)), (Q(3, 4), 1)])
+    def test_breaks_in_order_with_ends_on_knots(self, lo, hi):
+        # knots 1/4, 1/2, 3/4; each piece breaks at the sixteenths
+        g = GluedMap((Q(1, 4), Q(1, 2), Q(3, 4)), (Sixteenths(),) * 4,
+                     (Q(1, 4), Q(1, 2), Q(3, 4)))
+        pts = [k for k in g.knots if lo < k < hi]
+        for piece, a, b in g._spans(lo, hi):
+            pts.extend(piece.breaks(a, b))
+        assert g.breaks(lo, hi) == tuple(sorted(pts))
+        assert list(g.breaks(lo, hi)) == [Q(i, 16) for i in range(17) if lo < Q(i, 16) < hi]
 
     def test_nested_glue_flattens(self):
         a = AffineMap(Q(1, 2), 0)

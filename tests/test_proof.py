@@ -27,6 +27,10 @@ from mfroots.core import (
     JumpPoint,
     Multifunction,
     ValueSet,
+    _exact_value,
+    _piece_points,
+    _prove_monotone,
+    _witness_pieces,
     equivalent,
     iterate,
     prove_equivalent,
@@ -615,6 +619,93 @@ class TestProvenValidation:
             F = Multifunction.build(0, anchor, [(0, anchor, g.slope, g.intercept)])
             report = verify_root(f, F, 2)
             assert report.passed and report.exact, report
+
+
+def piece_points_by_sort(cells, pieces) -> list:
+    """The points of a proof as a set and a sort took them: the reference
+    for the merge."""
+    points = set(cells)
+    for p, q in pieces:
+        third = (q - p) / 3
+        points.update((p, p + third, q - third, q))
+    return sorted(points)
+
+
+def prove_monotone_by_dicts(W, u, v, inc):
+    """``_prove_monotone`` as it read its values from Fraction-keyed dicts
+    and sorted its marks: the reference for the index walk."""
+    cells, pieces = _witness_pieces(W, u, v, W.limits(u, v))
+    w = {x: _exact_value(W, x) for x in piece_points_by_sort(cells, pieces)}
+    marks = {(x, 1): w[x] for x in cells}
+    for p, q in pieces:
+        third = (q - p) / 3
+        w1, w2 = w[p + third], w[q - third]
+        if not (w1 < w2 if inc else w1 > w2):
+            return p + third
+        marks[p, 1], marks[q, 1] = w[p], w[q]
+        marks[p, 2], marks[q, 0] = 2 * w1 - w2, 2 * w2 - w1
+    prev = None
+    for (x, _), value in sorted(marks.items()):
+        if prev is not None and (value < prev if inc else value > prev):
+            return x
+        prev = value
+    return None
+
+
+def branch_maps(art, n=None):
+    """(map, lo, hi, increasing) of every generic branch of a root and of
+    its n-th iterate (none when n is None)."""
+    for f in (art.realized,) if n is None else (art.realized, iterate(art.realized, n)):
+        for br in f.branches:
+            if not isinstance(br.map, AffineMap):
+                yield br.map, br.lo, br.hi, f.orientation is mf.INC
+
+
+class TestPiecePoints:
+    """A proof's points merge in one pass, and the monotonicity proof walks
+    them by index: the same points and verdicts as sets, sorts and
+    Fraction-keyed dicts gave."""
+
+    @pytest.mark.parametrize("kind", ["inc", "sq", "odd"])
+    def test_merge_matches_the_set_and_sort(self, kind):
+        reduced = 0
+        for F, n, art in exact_roots(kind, n=2 if kind != "odd" else 3):
+            for W, lo, hi, _ in branch_maps(art, n):
+                limits = W.limits(lo, hi)
+                cells, pieces = _witness_pieces(W, lo, hi, limits)
+                points, at = _piece_points(cells, pieces)
+                assert points == piece_points_by_sort(cells, pieces)
+                assert [(points[i], points[i + 3]) for i in at] == pieces
+                # spans near an accumulation point stop short of it
+                ends = {e for piece in pieces for e in piece}
+                reduced += any(e not in ends for e in limits)
+        assert reduced
+
+    @pytest.mark.parametrize("kind,n", [("inc", 2), ("inc", 3), ("odd", 3)])
+    def test_verdicts_match_on_turned_seed_pieces(self, kind, n):
+        # as in TestMutations: each seed piece turned about its lower end,
+        # so the map fails to be monotone, or holds, on some pieces
+        verdicts = []
+        for F, k, art in roots_with(kind, "orbit root", n)[:3]:
+            root = first(art, "orbit root")
+            pieces = list(root.seed.pieces)
+            for i, (lo, hi, m) in enumerate(pieces):
+                for slope in (-m.slope, m.slope / 2, m.slope + DELTA):
+                    turned = AffineMap(slope, m(lo) - slope * lo)
+                    reseed(root, [*pieces[:i], (lo, hi, turned), *pieces[i + 1:]])
+                    for W, a, b, inc in branch_maps(art):
+                        want = outcome(prove_monotone_by_dicts, W, a, b, inc)
+                        assert outcome(_prove_monotone, W, a, b, inc) == want
+                        verdicts.append(want[0] == "ok" and want[1] is None)
+            reseed(root, pieces)
+        assert True in verdicts and False in verdicts
+
+
+def outcome(fn, *args):
+    try:
+        return ("ok", fn(*args))
+    except mf.errors.MfError as exc:
+        return ("error", type(exc), str(exc))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 from fractions import Fraction as Q
 
 import pytest
@@ -21,6 +22,8 @@ from mfroots.scalar_roots import (
     ScalarRootSeed,
     _OrbitMap,
     _Domain,
+    _SeedMap,
+    _jump_power,
     _orbit_carry,
     _orbit_land,
     _orbit_power,
@@ -35,6 +38,7 @@ from mfroots.errors import (
     EvaluationRangeError,
     HasInteriorFixedPointError,
     IncompatiblePatternError,
+    NoExactProofError,
     WrongSideError,
 )
 from mfroots.io import load_mf
@@ -273,6 +277,23 @@ def land(g, x, anchor):
     return _orbit_land(_Domain(g, anchor), x)
 
 
+def walked(g, x, anchor):
+    """(g^k(x), k) by single steps and the comparison operators: the
+    reference for the landing, which compares exact points on integer
+    parts and jumps."""
+    image = g(anchor)
+    down = image < anchor
+    k, rose = 0, False
+    while True:
+        if not rose and ((x > anchor) if down else (x >= image)):
+            step = 1 if down else -1
+        elif (x <= image) if down else (x < anchor):
+            step, rose = (-1 if down else 1), True
+        else:
+            return x, k
+        x, k = (g(x) if step > 0 else g.inverse(x)), k + step
+
+
 def power(g, z, k):
     return _orbit_power(_Domain(g, Q(1)), z, k)
 
@@ -396,6 +417,43 @@ class TestOrbitEngine:
         with pytest.raises(EvaluationRangeError):
             land(counting(half, []), x, Q(3, 4))
         assert land(half, x, Q(3, 4)) == (Q(1, 2), -99)
+
+    @settings(max_examples=80, deadline=None)
+    @given(contractions, st.sampled_from([1, -1]),
+           st.fractions(min_value=Q(1, 100), max_value=3, max_denominator=100),
+           st.sampled_from(["anchor", "image", "above", "below", "inside"]),
+           st.fractions(min_value=0, max_value=Q(99, 100), max_denominator=100),
+           st.integers(-6, 6), st.booleans())
+    def test_landing_matches_the_operator_walk(self, g, side, offset, where, frac, m,
+                                               as_float):
+        # the anchor, its image, one step outside either end, or inside the
+        # domain, carried m steps; exact points are compared on integer
+        # parts, floats with the operators, so both agree with the walk
+        anchor = g.fixed_point() + side * offset
+        image = g(anchor)
+        y = {"anchor": anchor, "image": image, "above": g.inverse(anchor),
+             "below": g(image), "inside": anchor + frac * (image - anchor)}[where]
+        x = steps(g, y, m)
+        if as_float:
+            x = float(x)
+        got, want = land(g, x, anchor), walked(g, x, anchor)
+        assert got == want and type(got[0]) is type(want[0])
+
+    @pytest.mark.parametrize("slope", [Q(10 ** 23 - 1, 10 ** 23), Q(10 ** 12 - 1, 10 ** 12)])
+    def test_slope_too_near_one_to_jump(self, slope):
+        # log(s) rounds to 0 for the first; the second would jump 10^13
+        # steps, whose power takes hours to build.  The estimate is asked
+        # first, so that a jump let through fails here rather than hangs.
+        with pytest.raises(EvaluationRangeError, match="orbit normalization diverged"):
+            _jump_power(slope, Q(1, 10 ** 6), Q(3, 4))
+        start = time.perf_counter()
+        with pytest.raises(EvaluationRangeError, match="orbit normalization diverged"):
+            land(AffineMap(slope, 0), Q(1, 10 ** 6), Q(3, 4))
+        assert time.perf_counter() - start < 5
+
+    def test_deep_jumps_within_the_cap(self):
+        # x ↦ x/2 at 2^−250000 jumps 250 000 steps, past the walk cap
+        assert -_jump_power(Q(1, 2), Q(1, 2 ** 250_000), Q(3, 4)) in (249_999, 250_000)
 
     @pytest.mark.parametrize("x", [Q(-1, 8), Q(0)])
     def test_point_at_or_across_the_fixed_point_never_lands(self, x):
@@ -1016,3 +1074,131 @@ class TestEvaluationCache:
         monkeypatch.setattr(scalar_roots, "_orbit_land", counted)
         builder.build_increasing_root(load_mf(data_path("absorbing_target.mf")), 3)
         assert 0 < len(calls) <= 200
+
+    def test_spans_are_memoized_only_inside_the_block(self, monkeypatch):
+        phi = self.lazy_root()
+        root = phi.forward
+        calls = []
+        points = scalar_roots._orbit_points
+        monkeypatch.setattr(scalar_roots, "_orbit_points",
+                            lambda *a: calls.append(a) or points(*a))
+        lo, hi = Q(1, 1000), Q(1, 2)
+        for _ in range(2):
+            assert root.breaks(lo, hi) == phi.breaks(lo, hi)
+        assert len(calls) == 4
+        with scalar_roots.evaluation_cache():
+            memo = scalar_roots._EVALUATIONS.get()
+            first = root.breaks(lo, hi)
+            assert root.breaks(lo, hi) is first and len(calls) == 5
+            key = (id(root), _OrbitMap.breaks.__wrapped__, 1, 1000, 1, 2)
+            assert memo[key] == (root, first)
+            # the orbit points of each power are kept for every span
+            assert any(len(k) == 2 for k in memo)
+            size = len(memo)
+            for _ in range(2):  # the span holds the attracting point
+                with pytest.raises(NoExactProofError, match="accumulate"):
+                    root.breaks(Q(0), hi)
+            assert len(memo) == size
+        assert scalar_roots._EVALUATIONS.get() is None
+        root.breaks(lo, hi)
+        assert len(calls) == 6
+
+    def test_composed_and_glued_spans_are_memoized(self):
+        phi = self.lazy_root()
+        r = AffineMap(-1, 1)
+        composed = compose_maps(r, phi, r)  # reflected: attracting at 1
+        glued = GluedMap((Q(1, 2),), (phi, AffineMap(Q(3, 2), Q(-1, 2))), (phi(Q(1, 2)),))
+        lo, hi = Q(1, 10), Q(3, 4)
+        for m in (composed, glued):
+            outside = (m.breaks(lo, hi), m.limits(lo, hi))
+            with scalar_roots.evaluation_cache():
+                memo = scalar_roots._EVALUATIONS.get()
+                inside = (m.breaks(lo, hi), m.limits(lo, hi))
+                assert inside == outside
+                assert m.breaks(lo, hi) is inside[0] and m.limits(lo, hi) is inside[1]
+                assert any(entry[0] is m for entry in memo.values())
+
+
+def old_orbit_points(dom, knots, lo, hi):
+    """The orbit points as they were taken with a set and a sort: the
+    reference for the ordered walk."""
+    k_lo, k_hi = sorted((_orbit_land(dom, lo)[1], _orbit_land(dom, hi)[1]))
+    out = set()
+    for t in knots:
+        y = _orbit_land(dom, t)[0]
+        for k in range(k_lo, k_hi + 1):
+            x = _orbit_power(dom, y, -k)
+            if lo < x < hi:
+                out.add(x)
+    return sorted(out)
+
+
+def old_breaks(m, lo, hi) -> tuple:
+    seed = m.seed
+    knots = {*seed.img_los, *seed.img_his} if m.inverted else (*seed.los, seed.top)
+    return tuple(old_orbit_points(m.land, knots, lo, hi))
+
+
+class TestOrbitPoints:
+    """An orbit map's breaks come from its seed's knots landed once per
+    seed, walked power by power in order: the same points as the set and
+    sort gave."""
+
+    def orbit_map(self, kind, s, anchor, n):
+        """An orbit root of x ↦ sx on [0, 1], or the orbit map of a self
+        pairing around 1/3 (above 1/3; its partner lies below)."""
+        if kind == "root":
+            return _OrbitMap.root(AffineMap(s, 0), 0, 1, n, ScalarRootSeed(anchor=anchor))
+        p = Q(1, 3)
+        g = AffineMap(s, p * (1 - s))
+        psi, _ = decreasing_square_root_pair(
+            g, 0, 1, seed=ScalarRootSeed(anchor=p + (1 - p) * anchor,
+                                         image_anchor=g(0) * anchor))
+        return psi.witness.pieces[1]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(["root", "pair"]), st.booleans(),
+           st.fractions(min_value=Q(1, 16), max_value=Q(15, 16), max_denominator=16),
+           st.fractions(min_value=Q(1, 4), max_value=1, max_denominator=8),
+           st.integers(2, 4),
+           st.lists(st.fractions(min_value=Q(1, 10 ** 6), max_value=1,
+                                 max_denominator=10 ** 6), min_size=2, max_size=2, unique=True))
+    def test_breaks_match_the_set_and_sort(self, kind, inverted, s, anchor, n, ends):
+        m = self.orbit_map(kind, s, anchor, n)
+        if inverted:
+            m = m.partner
+        # a span between the attracting point and the domain's anchor
+        base = m.ends[0][0]
+        lo, hi = sorted(base + t * (m.land.anchor - base) for t in ends)
+        try:
+            want = old_breaks(m, lo, hi)
+        except EvaluationRangeError:
+            with pytest.raises(EvaluationRangeError):
+                m.breaks(lo, hi)
+            return
+        got = m.breaks(lo, hi)
+        assert got == want
+        assert all(a < b for a, b in zip(got, got[1:]))
+
+    def test_both_walk_directions(self):
+        # the self pairing's orbit map lands above p, where g moves points
+        # down, and its partner below p, where g moves them up
+        m, p = self.orbit_map("pair", Q(1, 2), Q(3, 4), 2), Q(1, 3)
+        assert m.land.down and not m.partner.land.down
+        for om, lo, hi in ((m, p + Q(1, 1000), Q(1)), (m.partner, Q(1, 1000), p - Q(1, 1000))):
+            got = om.breaks(lo, hi)
+            assert len(got) > 4 and got == old_breaks(om, lo, hi)
+
+    def test_reseeded_map_reads_no_stale_knots(self):
+        g = AffineMap(Q(1, 2), 0)
+        root = _OrbitMap.root(g, 0, 1, 2, ScalarRootSeed(anchor=1))
+        lo, hi = Q(1, 100), Q(1, 1)
+        before = root.breaks(lo, hi)
+        assert Q(3, 4) in before
+        # move the division from 3/4 to 5/8, as a mutation test does
+        (a, b, m0), (c, d, m1) = root.seed.pieces
+        root.seed = root.partner.seed = _SeedMap([(a, Q(5, 8), m0), (Q(5, 8), d, m1)])
+        after = root.breaks(lo, hi)
+        assert Q(5, 8) in after and Q(3, 4) not in after
+        assert after == old_breaks(root, lo, hi)
+        assert root.partner.breaks(lo, Q(1, 2)) == old_breaks(root.partner, lo, Q(1, 2))

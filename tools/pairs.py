@@ -1,0 +1,124 @@
+#!/usr/bin/env python3
+"""Paired benchmark runs of a parent commit and of the working tree.
+
+    python3 tools/pairs.py --workload roots --seed 14 --seconds 20 --pairs 10
+    python3 tools/pairs.py --workload analyze --seed 5 --seconds 0 --pairs 1 --parent HEAD~1
+
+Run it from anywhere inside a git checkout.  The parent ref (``HEAD`` by
+default) is exported with ``git archive`` into a temporary directory, so
+the parent side runs on committed files only and nothing is added to the
+repository's metadata; the change side is the working tree as it stands.
+``perfbench/run.py`` then runs on the two sides alternately, for the
+given number of pairs; the side that goes first alternates from pair to
+pair, so drift of a shared machine's speed falls on both.
+
+Prints, for every run, its ``failed`` and ``attempted`` operations and its
+block count (a workload whose failures come once per pair of blocks has a
+failed share that moves with the count's parity).  Then, for each
+end-to-end metric of ``BENCHMARK.json``: the median and quartiles of both
+sides, the ratio of the medians, how many pairs the change wins, and
+whether the gap between the medians exceeds the parent's quartile spread.
+Stdlib only.  Exits 1 when a run fails or reports a wrong result.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import re
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+
+def git(root: Path, *args: str) -> bytes:
+    return subprocess.run(["git", "-C", str(root), *args], check=True,
+                          capture_output=True).stdout
+
+
+def export(root: Path, ref: str, dest: Path) -> None:
+    """The files of ``ref`` under ``dest``."""
+    archive = dest / "parent.tar"
+    archive.write_bytes(git(root, "archive", "--format=tar", ref))
+    with tarfile.open(archive) as tar:
+        if hasattr(tarfile, "data_filter"):  # Python 3.12, and 3.10.12 / 3.11.4 on
+            tar.extractall(dest / "parent", filter="data")
+        else:
+            tar.extractall(dest / "parent")
+    archive.unlink()
+
+
+def run(checkout: Path, args) -> dict:
+    """One benchmark run in ``checkout``: its result line, with the block
+    count read from the report."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", args.workload,
+         "--seed", str(args.seed), "--seconds", str(args.seconds)],
+        cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode or not lines:
+        sys.exit(f"run in {checkout} failed (exit {proc.returncode}):\n{proc.stderr[-2000:]}")
+    result = json.loads(lines[-1])
+    blocks = re.search(r"(\d+) blocks", proc.stdout)
+    result["blocks"] = int(blocks.group(1)) if blocks else None
+    return result
+
+
+def spread(values):
+    """(q1, median, q3); a single value is all three."""
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--seconds", type=float, required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--parent", default="HEAD", help="git ref of the parent side")
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+
+    root = Path(git(Path.cwd(), "rev-parse", "--show-toplevel").decode().strip())
+    spec = json.loads((root / "BENCHMARK.json").read_text())
+    metrics = [(m["name"], m["better"]) for m in spec["end_to_end"]]
+    runs = {"parent": [], "change": []}
+    with tempfile.TemporaryDirectory(prefix="pairs-") as tmp:
+        export(root, args.parent, Path(tmp))
+        sides = {"parent": Path(tmp) / "parent", "change": root}
+        for i in range(args.pairs):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for side in order:
+                result = run(sides[side], args)
+                runs[side].append(result)
+                print(f"pair {i + 1} {side:6s}  failed {result['failed']} of "
+                      f"{result['attempted']}  blocks {result['blocks']}  "
+                      f"correct {result['correct']}", flush=True)
+
+    print(f"\n{args.workload} seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s, "
+          f"parent {args.parent}: median [q1-q3]")
+    for name, better in metrics:
+        old = [r["metrics"][name]["value"] for r in runs["parent"]]
+        new = [r["metrics"][name]["value"] for r in runs["change"]]
+        (o1, om, o3), (n1, nm, n3) = spread(old), spread(new)
+        wins = sum((b < a) if better == "lower" else (b > a) for a, b in zip(old, new))
+        ratio = f"x{nm / om:.3f}" if om else "n/a"
+        clear = "beyond" if abs(nm - om) > o3 - o1 else "within"
+        gap = (f"gap {clear} the parent's quartile spread" if args.pairs > 1
+               else "one pair, no spread")
+        print(f"{name:12s} parent {om:.4g} [{o1:.4g}-{o3:.4g}]  change {nm:.4g} "
+              f"[{n1:.4g}-{n3:.4g}]  {ratio}  change wins {wins} of {args.pairs}  "
+              f"{gap} ({better} is better)")
+    bad = [r for side in runs.values() for r in side if not r["correct"]]
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
