@@ -219,13 +219,10 @@ MonotoneMap = object  # duck type: AffineMap | GenericMap | ComposedMap | GluedM
 # evaluation cache
 # ---------------------------------------------------------------------------
 
-# while a cache is open: (id of a map, method, argument type, argument's
-# numerator and denominator) -> (the map, value) for a point; (id of a
-# map, method, the ends' numerators and denominators) -> (the map, pieces)
-# for a span; and (id of an orbit's landed knots, power) -> (the knots,
-# their images under the power) for ``scalar_roots._orbit_points``.  An
-# entry keeps its object alive, so no other object takes the id while the
-# key stands
+# while a cache is open: (id of a map, method, then each argument's type,
+# numerator and denominator) -> (the map, result), for a point's value and
+# for a span's pieces.  An entry keeps its map alive, so no other object
+# takes the id while the key stands
 _EVALUATIONS: ContextVar[Optional[dict]] = ContextVar("mfroots_evaluations",
                                                       default=None)
 
@@ -246,37 +243,25 @@ def evaluation_cache():
 
 
 def _memoized(method):
-    """``method(self, x)`` looked up in the open evaluation cache.  Only an
-    exact x is looked up or stored, so a float is never answered with an
-    exact value; a call that raises stores nothing."""
+    """``method(self, *args)`` looked up in the open evaluation cache.  Only
+    exact arguments are looked up or stored, so a float is never answered
+    with an exact value; a call that raises stores nothing."""
     @functools.wraps(method)
-    def cached(self, x):
+    def cached(self, *args):
         memo = _EVALUATIONS.get()
-        if memo is None or not is_exact(x):
-            return method(self, x)
+        if memo is None:
+            return method(self, *args)
         # keyed on the parts: hashing a Fraction takes a modular inverse,
         # and hashing a composed map walks its chain
-        key = (id(self), method, type(x), x.numerator, x.denominator)
+        key = [id(self), method]
+        for a in args:
+            if not is_exact(a):
+                return method(self, *args)
+            key += type(a), a.numerator, a.denominator
+        key = tuple(key)
         entry = memo.get(key)
         if entry is None:
-            entry = memo[key] = (self, method(self, x))
-        return entry[1]
-    return cached
-
-
-def _span_memoized(method):
-    """``method(self, lo, hi)``, the pieces of a map on a span, looked up in
-    the open evaluation cache when both ends are Fractions; a call that
-    raises stores nothing."""
-    @functools.wraps(method)
-    def cached(self, lo, hi):
-        memo = _EVALUATIONS.get()
-        if memo is None or type(lo) is not Fraction or type(hi) is not Fraction:
-            return method(self, lo, hi)
-        key = (id(self), method, lo.numerator, lo.denominator, hi.numerator, hi.denominator)
-        entry = memo.get(key)
-        if entry is None:
-            entry = memo[key] = (self, method(self, lo, hi))
+            entry = memo[key] = (self, method(self, *args))
         return entry[1]
     return cached
 
@@ -347,7 +332,7 @@ class GluedMap:
             if a < b:
                 yield piece, a, b
 
-    @_span_memoized
+    @_memoized
     def breaks(self, lo, hi) -> tuple:
         # in order: each piece's breaks lie inside its span, which opens at
         # a knot unless it opens at lo
@@ -358,7 +343,7 @@ class GluedMap:
             pts.extend(piece.breaks(a, b))
         return tuple(pts)
 
-    @_span_memoized
+    @_memoized
     def limits(self, lo, hi) -> tuple:
         return tuple(sorted({e for piece, a, b in self._spans(lo, hi)
                              for e in piece.limits(a, b)}))
@@ -401,7 +386,7 @@ class ComposedMap:
     def inverse_map(self):
         return ComposedMap(tuple(m.inverse_map() for m in reversed(self.maps)))
 
-    @_span_memoized
+    @_memoized
     def breaks(self, lo, hi) -> tuple:
         """Carried forward map by map: the chain applied so far is affine
         on each open segment between the cuts found so far, so the next
@@ -437,7 +422,7 @@ class ComposedMap:
             segments = split
         return tuple(p for p, _, _ in segments[1:])
 
-    @_span_memoized
+    @_memoized
     def limits(self, lo, hi) -> tuple:
         """Each map's accumulation points on the image of [lo, hi] that
         reaches it, pulled back through the inverses and checked going

@@ -51,9 +51,8 @@ from .maps import (
     GenericMap,
     GluedMap,
     Orientation,
-    _EVALUATIONS,
+    _EVALUATIONS,  # re-exported with evaluation_cache
     _memoized,
-    _span_memoized,
     compose_maps,
     evaluation_cache,  # re-exported: the builder opens it around a proof
     iterate_map,
@@ -331,17 +330,20 @@ def _jump_power(s: Fraction, e: Fraction, t: Fraction) -> int:
     within one of the exact value; e and t are offsets from the fixed
     point, and e must lie on t's side of it.
 
-    A jump stands for |k| single steps, and s^k has |k| times the bits of
-    s.  It may stand for more steps than the walk cap _MAX_ORBIT_STEPS,
-    so that deep points of fast orbits land (x ↦ x/2 at 2^−250000 jumps
-    250 000), but not for ten times more: that is a slope so near 1 that
-    log(s) rounds toward 0, and its power would take hours to build."""
+    The jump builds s^k, of |k| times the bits of s.  A deep point pays for
+    its power with its own size (x ↦ x/2 at 2^−N builds 2N bits), so the
+    power may take four times the point's bits, plus a byte for each step
+    the walk cap _MAX_ORBIT_STEPS allows.  A larger power is refused: that
+    is a slope so near 1 that a shallow point needs a power of 10^13 bits,
+    or that log(s) rounds to 0."""
     if not e or not t or (e.numerator < 0) != (t.numerator < 0):
         raise EvaluationRangeError("orbit never reaches the fundamental domain")
     log_s = math.log(s)
     if log_s:
         k = -math.floor((_log_abs(e) - _log_abs(t)) / log_s)
-        if abs(k) <= 10 * _MAX_ORBIT_STEPS:
+        power = abs(k) * max(s.numerator.bit_length(), s.denominator.bit_length())
+        point = max(abs(e.numerator).bit_length(), e.denominator.bit_length())
+        if power <= 4 * point + 8 * _MAX_ORBIT_STEPS:
             return k
     raise EvaluationRangeError("orbit normalization diverged")
 
@@ -431,22 +433,16 @@ def _orbit_points(dom: _Domain, knots: tuple, lo, hi) -> list:
     The points that g^k lands in dom form one interval for each k, and
     the intervals follow each other as k rises when g moves points down,
     as k falls when it moves them up.  So only the powers of lo and of hi
-    reach past an end.  The points of each power are memoized in the open
-    evaluation cache."""
+    reach past an end."""
     k_lo, k_hi = _orbit_land(dom, lo)[1], _orbit_land(dom, hi)[1]
     step = 1 if dom.down else -1
-    memo = _EVALUATIONS.get()
     out: list = []
     for k in range(k_lo, k_hi + step, step):
-        entry = None if memo is None else memo.get((id(knots), k))
-        if entry is None:
-            entry = (knots, [_orbit_power(dom, y, -k) for y in knots])
-            if memo is not None:
-                memo[id(knots), k] = entry
+        points = [_orbit_power(dom, y, -k) for y in knots]
         if k == k_lo or k == k_hi:
-            out.extend(x for x in entry[1] if lo < x < hi)
+            out.extend(x for x in points if lo < x < hi)
         else:
-            out.extend(entry[1])
+            out.extend(points)
     return out
 
 
@@ -600,7 +596,7 @@ class _OrbitMap:
         return GenericMap(self.orientation, self, self.partner, self.recipe,
                           self if self.exact else None)
 
-    @_span_memoized
+    @_memoized
     def breaks(self, lo, hi) -> tuple:
         fixed = self.ends[0][0]
         if _within(fixed, lo, hi):

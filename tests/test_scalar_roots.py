@@ -455,6 +455,14 @@ class TestOrbitEngine:
         # x ↦ x/2 at 2^−250000 jumps 250 000 steps, past the walk cap
         assert -_jump_power(Q(1, 2), Q(1, 2 ** 250_000), Q(3, 4)) in (249_999, 250_000)
 
+    def test_deep_point_pays_for_its_jump(self):
+        # 3 000 000 steps, fifteen times the walk cap: the power is as
+        # large as the point, so the point lands, and quickly
+        start = time.perf_counter()
+        assert land(AffineMap(Q(1, 2), 0), Q(1, 2 ** 3_000_000), Q(3, 4)) == (Q(1, 2),
+                                                                                -2_999_999)
+        assert time.perf_counter() - start < 5
+
     @pytest.mark.parametrize("x", [Q(-1, 8), Q(0)])
     def test_point_at_or_across_the_fixed_point_never_lands(self, x):
         g = AffineMap(Q(1, 2), 0)
@@ -1090,10 +1098,9 @@ class TestEvaluationCache:
             memo = scalar_roots._EVALUATIONS.get()
             first = root.breaks(lo, hi)
             assert root.breaks(lo, hi) is first and len(calls) == 5
-            key = (id(root), _OrbitMap.breaks.__wrapped__, 1, 1000, 1, 2)
+            # keyed as a point is, on each end's type and integer parts
+            key = (id(root), _OrbitMap.breaks.__wrapped__, Q, 1, 1000, Q, 1, 2)
             assert memo[key] == (root, first)
-            # the orbit points of each power are kept for every span
-            assert any(len(k) == 2 for k in memo)
             size = len(memo)
             for _ in range(2):  # the span holds the attracting point
                 with pytest.raises(NoExactProofError, match="accumulate"):
