@@ -76,9 +76,6 @@ class ClosedInterval:
     def contains(self, x: Scalar) -> bool:
         return self.lo <= x <= self.hi
 
-    def contains_interval(self, other: "ClosedInterval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
     def reflected(self, pivot_sum: Scalar) -> "ClosedInterval":
         return ClosedInterval(pivot_sum - self.hi, pivot_sum - self.lo)
 

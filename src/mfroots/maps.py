@@ -1,9 +1,11 @@
 """Single-valued strictly monotone maps on an interval.
 
 Two kinds: exact affine maps over rationals, and generic lazily-evaluated
-maps (products of root/conjugacy constructions, compositions, reflections).
-Every map answers forward evaluation, inverse evaluation and orientation;
-generic maps additionally promise pure evaluation (same input, same output).
+maps (root/conjugacy constructions, glues, opaque user maps).  Every map
+answers forward evaluation, inverse evaluation and orientation; generic
+maps additionally promise pure evaluation (same input, same output).
+Compositions hold the lazy orbit maps themselves, not the generic maps
+that present them (``compose_maps``).
 
 Maps also report their pieces, for exact proofs of equalities:
 ``breaks(lo, hi)`` lists the points of (lo, hi) between which the map is
@@ -371,7 +373,7 @@ class ComposedMap:
 
     @property
     def is_exact(self) -> bool:
-        return all(m.is_exact for m in self.maps)
+        return all(isinstance(m, AffineMap) for m in self.maps)
 
     def __call__(self, x: Scalar) -> Scalar:
         for m in reversed(self.maps):
@@ -462,7 +464,9 @@ _IDENTITY = AffineMap(Fraction(1), Fraction(0))
 
 
 def compose_maps(*maps) -> MonotoneMap:
-    """Compose maps (leftmost applied last), folding affine runs exactly."""
+    """Compose maps (leftmost applied last), folding affine runs exactly and
+    dropping identities.  In a chain, a generic map whose forward is its own
+    witness (an exact orbit map's ``as_map``) stands as that orbit map."""
     flat = []
     for m in maps:
         if isinstance(m, ComposedMap):
@@ -475,24 +479,23 @@ def compose_maps(*maps) -> MonotoneMap:
             folded.append(folded.pop().after(m))
         else:
             folded.append(m)
-    if len(folded) == 1:
-        return folded[0]
-    return ComposedMap(tuple(folded))
+    if len(folded) > 1:
+        folded = [m for m in folded if m != _IDENTITY]
+    if len(folded) <= 1:
+        return folded[0] if folded else _IDENTITY
+    return ComposedMap(tuple(m.witness if isinstance(m, GenericMap) and m.forward is m.witness
+                             else m for m in folded))
 
 
 def iterate_map(m, times: int) -> MonotoneMap:
     if times < 0:
         return iterate_map(m.inverse_map(), -times)
-    if times == 0:
-        return AffineMap(Fraction(1), Fraction(0))
     return compose_maps(*([m] * times))
 
 
 def reflect_map(m, pivot_sum: Scalar) -> MonotoneMap:
     """Conjugate by the reflection r(x) = pivot_sum − x."""
     refl = AffineMap(Fraction(-1), Fraction(pivot_sum))
-    if isinstance(m, AffineMap) and is_exact(pivot_sum):
-        return refl.after(m).after(refl)
     return compose_maps(refl, m, refl)
 
 

@@ -18,17 +18,17 @@ its argument in a fundamental domain of g_in, applies the seed piece, and
 carries the value back along g_out, so f∘g_in = g_out∘f.  Its inverse is
 the partner direction, built once, which reads the same seed.  The orbit
 root and the orbit conjugacy are its two constructors; a mirrored root is
-r∘f∘r for the reflection r, and a self pairing glues the orbit map ψ from
-one side of the fixed point to the other with ψ⁻¹∘g.  Over exact affine
-data an orbit map is its own witness for ``core.prove_equivalent``: it
-commutes with its generators, it sends the attracting point of g_in to
+the orbit root of the reflected problem turned about the pivot into one
+orbit map of the caller's frame, and a self pairing glues the orbit map ψ
+from one side of the fixed point to the other with ψ⁻¹∘g.  Over exact
+affine data an orbit map is its own witness for ``core.prove_equivalent``:
+it commutes with its generators, it sends the attracting point of g_in to
 that of g_out, and it is affine between the orbit images of its seed's
 knots; a composition or glue of orbit maps is proved through them.
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -265,6 +265,11 @@ class _SeedMap:
         self.img_los = [a for a, _ in images]
         self.img_his = [b for _, b in images]
         self._landed: dict = {}  # images -> (domain, landed knots)
+        # the ends' integer ratios: points compare on them as with operators
+        self._top = self.top.as_integer_ratio()
+        self._from_top = [(*lo.as_integer_ratio(), m) for lo, _, m in reversed(pieces)]
+        self._images = [(*a.as_integer_ratio(), *b.as_integer_ratio(), m)
+                        for (a, b), (_, _, m) in zip(images, pieces)]
 
     def landed(self, dom: "_Domain", images: bool) -> tuple:
         """The ends of the pieces, or of their images when ``images``,
@@ -278,19 +283,26 @@ class _SeedMap:
         return entry[1]
 
     def piece(self, x):
-        """The map of the piece that holds x."""
-        i = bisect.bisect_right(self.los, x) - 1
-        if i < 0 or (i == len(self.pieces) - 1 and x > self.top):
-            raise EvaluationRangeError(f"{format_scalar(x)} outside the seed domain")
-        return self.pieces[i][2]
+        """The map of the piece that holds x: the last that starts at or
+        below x."""
+        xn, xd = x.as_integer_ratio()
+        tn, td = self._top
+        if xn * td <= tn * xd:
+            for ln, ld, m in self._from_top:
+                if ln * xd <= xn * ld:
+                    return m
+        raise EvaluationRangeError(f"{format_scalar(x)} outside the seed domain")
 
     def inverse_piece(self, w):
-        """The map of the piece whose image holds w."""
-        # the first piece whose image reaches w is the first that holds it
-        i = bisect.bisect_left(self.img_his, w)
-        if i == len(self.pieces) or w < self.img_los[i]:
-            raise EvaluationRangeError(f"{format_scalar(w)} outside the seed image")
-        return self.pieces[i][2]
+        """The map of the piece whose image holds w: the first whose image
+        reaches w, if it starts at or below w."""
+        wn, wd = w.as_integer_ratio()
+        for an, ad, bn, bd, m in self._images:
+            if wn * bd <= bn * wd:
+                if an * wd <= wn * ad:
+                    return m
+                break
+        raise EvaluationRangeError(f"{format_scalar(w)} outside the seed image")
 
 
 # ---------------------------------------------------------------------------
@@ -574,6 +586,22 @@ class _OrbitMap:
                    ("orbit_conjugacy", format_scalar(x1), format_scalar(x2)),
                    (((u1, v1), None), (None, (u1, v1))))
 
+    def reflected(self, c) -> "_OrbitMap":
+        """r∘self∘r for the reflection r(x) = c − x as one orbit map: the
+        domains, seed pieces, ends and checks turned about c."""
+        def turn(dom):
+            return _Domain(reflect_map(dom.g, c), c - dom.anchor)
+
+        def flip(span):
+            return None if span is None else (c - span[1], c - span[0])
+
+        seed = _SeedMap([(c - hi, c - lo, reflect_map(m, c))
+                         for lo, hi, m in reversed(self.seed.pieces)])
+        checks = tuple((flip(d.args), flip(d.values)) for d in (self, self.partner))
+        return _OrbitMap(self.name, self.orientation, seed, turn(self.land), turn(self.carry),
+                         tuple((c - a, c - b) for a, b in self.ends), self.exact and is_exact(c),
+                         ("mirrored", format_scalar(c), self.recipe), checks)
+
     @_memoized
     def __call__(self, x):
         for a, b in self.ends:
@@ -621,22 +649,18 @@ class _OrbitMap:
         return self.name
 
 
-# evaluations of a composed or glued lazy map, memoized as an orbit map's
+# evaluations of a glued lazy map, memoized as an orbit map's
 _forward = _memoized(lambda m, x: m(x))
 _backward = _memoized(lambda m, w: m.inverse(w))
 
 
-def _lazy(m, recipe, exact) -> GenericMap:
-    """The composed or glued lazy map m under its recipe, evaluated through
-    the evaluation cache; m is its own witness when exact."""
-    return GenericMap(m.orientation, functools.partial(_forward, m),
-                      functools.partial(_backward, m), recipe, m if exact else None)
-
-
 def _glued(q_in, q_out, left, right, recipe) -> GenericMap:
-    """Map sending q_in to q_out, by left below q_in and right above it."""
-    return _lazy(GluedMap((q_in,), (left, right), (q_out,)), recipe,
-                 is_exact(q_in) and is_exact(q_out))
+    """Map sending q_in to q_out, by left below q_in and right above it,
+    evaluated through the evaluation cache; its own witness when exact."""
+    glue = GluedMap((q_in,), (left, right), (q_out,))
+    return GenericMap(glue.orientation, functools.partial(_forward, glue),
+                      functools.partial(_backward, glue), recipe,
+                      glue if is_exact(q_in) and is_exact(q_out) else None)
 
 
 def _affine_root(g: AffineMap, n: int, orientation: Orientation):
@@ -723,9 +747,10 @@ def _mirror_triple(triple, pivot):
 
 def _root_above(g, w, p, n, seed: ScalarRootSeed, cover=None, confine=None,
                 closed_form=True):
-    """Root on an above-diagonal piece [w, p] (attracting fixed end p):
-    r∘phi∘r for the root phi of the reflected, below-diagonal problem and
-    the reflection r(x) = w + p − x, which also carries the seed over."""
+    """Root on an above-diagonal piece [w, p] (attracting fixed end p): the
+    root of the reflected, below-diagonal problem, built about the pivot
+    w + p, turned back into this frame (``_OrbitMap.reflected``); the
+    reflection also carries the seed over."""
     pivot = w + p
     if (closed_form and isinstance(g, AffineMap) and seed.divisions is None
             and seed.anchor is None):
@@ -733,36 +758,15 @@ def _root_above(g, w, p, n, seed: ScalarRootSeed, cover=None, confine=None,
         fast = _closed_form(g, n, w, p, above, confine)
         if fast is not None:
             return fast
-    g_tilde = reflect_map(g, pivot)
-    mirrored_cover = _mirror_triple(cover, pivot)
-    mirrored_confine = _mirror_triple(confine, pivot)
-    if mirrored_cover is not None and mirrored_cover[1] is not None:
-        if mirrored_cover[1] < pivot - p:
-            raise IncompatiblePatternError(
-                f"required range overshoots the attracting end {format_scalar(p)}")
-    if mirrored_confine is not None and mirrored_confine[1] is not None:
-        if mirrored_confine[1] > pivot - p:
-            raise IncompatiblePatternError(
-                "cannot keep iterated values below the attracting end")
-    base = _OrbitMap.root(g_tilde, pivot - p, pivot - w, n, _mirror_seed(seed, pivot),
-                          cover=mirrored_cover, confine=mirrored_confine)
-    r = AffineMap(Fraction(-1), pivot)
-    lazy = _lazy(compose_maps(r, base, r), ("mirrored", format_scalar(pivot), base.recipe),
-                 base.exact and is_exact(pivot))
-
-    # r sends [w, p] onto itself, so refusing in this frame refuses what
-    # the base would; the error then names the caller's point, not r of it
-    def backward(z):
-        _in_range(z, w, p)
-        try:
-            return lazy.backward(z)
-        except EvaluationRangeError:  # the preimage r(phi^-1(r(z))) is outside
-            raise EvaluationRangeError(
-                f"{format_scalar(z)} has no preimage inside "
-                f"[{format_scalar(w)}, {format_scalar(p)}]") from None
-
-    return GenericMap(INC, lambda x: lazy.forward(_in_range(x, w, p)), backward,
-                      lazy.recipe, lazy.witness)
+    if cover is not None and cover[2] is not None and cover[2] > p:
+        raise IncompatiblePatternError(
+            f"required range overshoots the attracting end {format_scalar(p)}")
+    if confine is not None and confine[2] is not None and confine[2] < p:
+        raise IncompatiblePatternError("cannot keep iterated values below the attracting end")
+    base = _OrbitMap.root(reflect_map(g, pivot), pivot - p, pivot - w, n,
+                          _mirror_seed(seed, pivot), cover=_mirror_triple(cover, pivot),
+                          confine=_mirror_triple(confine, pivot))
+    return base.reflected(pivot).as_map()
 
 
 def _split_cover(triple, q, for_lower):
@@ -873,12 +877,10 @@ def _conj_increasing(g1, lo1, hi1, g2, lo2, hi2, seed: ScalarRootSeed):
     if p1.kind == "above":
         # reflect both problems onto the below-diagonal normal form
         pivot1, pivot2 = lo1 + hi1, lo2 + hi2
-        r1 = AffineMap(Fraction(-1), Fraction(pivot1))
-        r2 = AffineMap(Fraction(-1), Fraction(pivot2))
         inner = _OrbitMap.conjugacy(reflect_map(g1, pivot1), lo1, hi1,
                                     reflect_map(g2, pivot2), lo2, hi2,
                                     _mirror_seed(seed, pivot1, pivot2)).as_map()
-        return compose_maps(r2, inner, r1)
+        return compose_maps(AffineMap(-1, pivot2), inner, AffineMap(-1, pivot1))
     if p1.attracting != p2.attracting:
         raise IncompatiblePatternError("interior fixed-point types differ")
     q1, q2 = p1.fixed, p2.fixed
@@ -918,11 +920,9 @@ def conjugacy(g1, lo1: Scalar, hi1: Scalar, g2, lo2: Scalar, hi2: Scalar,
 
     # decreasing conjugacy: reflect the target and compose back
     pivot = lo2 + hi2
-    r2 = AffineMap(Fraction(-1), Fraction(pivot))
-    g2_tilde = reflect_map(g2, pivot)
-    inner = _conj_increasing(g1, lo1, hi1, g2_tilde, lo2, hi2,
+    inner = _conj_increasing(g1, lo1, hi1, reflect_map(g2, pivot), lo2, hi2,
                              _mirror_seed(seed, image_pivot=pivot))
-    return compose_maps(r2, inner)
+    return compose_maps(AffineMap(-1, pivot), inner)
 
 
 # ---------------------------------------------------------------------------

@@ -300,6 +300,18 @@ def lazy_objects(m):
         yield from lazy_objects(m.witness)
 
 
+def compositions(m):
+    """The composition chains in a map, through witnesses, compositions
+    and glued maps, outermost first."""
+    if isinstance(m, GenericMap):
+        m = m.witness
+    if isinstance(m, ComposedMap):
+        yield m
+    if isinstance(m, (ComposedMap, GluedMap)):
+        for part in m.maps if isinstance(m, ComposedMap) else m.pieces:
+            yield from compositions(part)
+
+
 def staircase(count: int) -> Multifunction:
     """Increasing multifunction on [0, 1] with ``count`` interior jumps:
     with N = count + 1 and eps = 1/(4N²), branch i on (i/N, (i+1)/N) is

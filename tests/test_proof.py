@@ -54,6 +54,7 @@ from mfroots.scalar_roots import (
 )
 
 from conftest import (
+    compositions,
     data_path,
     lazy_objects,
     random_dec_selfpair_target,
@@ -303,12 +304,13 @@ class TestWitnesses:
         assert root.limits(0, 1) == (Q(1, 2),)
         left, right = root.germ(Q(1, 2), -1), root.germ(Q(1, 2), 1)
         assert isinstance(left[0], Guard) and left[0].knots == (Q(1, 2),)
-        # the mirrored piece reads r, W, r with r(x) = 1/2 - x
-        g, r = AffineMap(Q(1, 2), Q(1, 4)), AffineMap(-1, Q(1, 2))
-        assert len(left) == 4 and left[1] == left[3] == r
-        assert left[2] is not right[1]
-        gens = left[2].generators(r(Q(1, 2)))
-        assert [compose_maps(r, h, r) for h in gens] == [g, g]
+        # the mirrored piece is one orbit map of this frame, attracting to
+        # 1/2 along g itself on both sides
+        g = AffineMap(Q(1, 2), Q(1, 4))
+        assert len(left) == 2 and isinstance(left[1], _OrbitMap)
+        assert left[1].recipe[0] == "mirrored" and right[1].recipe[0] == "orbit_root"
+        assert left[1] is not right[1]
+        assert left[1].generators(Q(1, 2)) == (g, g)
         assert right[1].generators(Q(1, 2)) == (g, g)
 
     def test_float_root_names_itself(self):
@@ -451,7 +453,9 @@ class TestComposedBreaks:
         phi = TestWitnesses().quarter_root()
         for times in (2, 3):
             chain = iterate_map(phi, times)
-            assert chain.maps == (phi,) * times
+            # the chain holds the orbit map itself, not its generic wrapper
+            assert isinstance(phi.witness, _OrbitMap)
+            assert chain.maps == (phi.witness,) * times
             for lo, hi in [(Q(1, 8), Q(15, 16)), (Q(1, 64), Q(1, 2)), (0, 1)]:
                 assert_breaks_match(chain, lo, hi)
 
@@ -501,11 +505,17 @@ class TestComposedBreaks:
         assert answered
 
     def test_mirrored_root_evaluates_no_orbit_map(self):
-        # x/2 + 1/2 lies above the diagonal on [1/4, 1]: the root is r∘φ∘r
+        # x/2 + 1/2 lies above the diagonal on [1/4, 1]: the root is one
+        # orbit map of this frame, attracting to 1 along x/2 + 1/2 itself;
+        # r∘φ∘r for r(x) = 5/4 − x is then a chain with an orbit map inside
+        g = AffineMap(Q(1, 2), Q(1, 2))
         root = mf.scalar_roots._increasing_root_auto(
-            AffineMap(Q(1, 2), Q(1, 2)), Q(1, 4), 1, 2, ScalarRootSeed(anchor=Q(1, 4)))
-        r, phi, r2 = root.witness.maps
-        assert r == r2 and isinstance(r, AffineMap) and isinstance(phi, _OrbitMap)
+            g, Q(1, 4), 1, 2, ScalarRootSeed(anchor=Q(1, 4)))
+        phi = root.witness
+        assert isinstance(phi, _OrbitMap) and phi.recipe[0] == "mirrored"
+        assert root.forward is phi and root.backward is phi.partner
+        assert phi.generators(1) == (g, g)
+        r = AffineMap(-1, Q(5, 4))
         calls = []
 
         def counted(x):
@@ -517,14 +527,105 @@ class TestComposedBreaks:
         cuts = chain.breaks(lo, hi)
         assert cuts and calls == []
         assert cuts == ref_composed_breaks(chain, lo, hi) and calls
-        # in a square the inner φ is still fitted, the outer one is not
+        # in a square the inner φ is still fitted, the outer one is not;
+        # the reflections between them fold to the identity, which drops
         square = compose_maps(chain, chain)
+        assert square.maps == (r, chain.maps[1], chain.maps[1], r)
         calls.clear()
         got = square.breaks(lo, hi)
         fitted = len(calls)
         calls.clear()
         assert got == ref_composed_breaks(square, lo, hi)
         assert 0 < fitted < len(calls)
+
+
+IDENTITY = AffineMap(1, 0)
+
+
+def assert_flat(chain):
+    """A chain of orbit maps and affine maps: no generic map, no identity
+    and no two affine maps side by side."""
+    assert isinstance(chain, ComposedMap), chain
+    maps = chain.maps
+    assert not any(isinstance(m, GenericMap) for m in maps), chain
+    assert not any(isinstance(m, AffineMap) and m == IDENTITY for m in maps), chain
+    assert not any(isinstance(a, AffineMap) and isinstance(b, AffineMap)
+                   for a, b in zip(maps, maps[1:])), chain
+
+
+class TestFlatChains:
+    """Compositions hold the orbit maps themselves: a chain holds no
+    generic wrapper of an orbit map, no identity and no affine pair."""
+
+    def mirrored(self, slope):
+        # above the diagonal on [1/4, 1], attracting to 1
+        root = mf.scalar_roots._root_above(
+            AffineMap(slope, 1 - slope), Q(1, 4), 1, 3, ScalarRootSeed(anchor=Q(1, 4)))
+        assert root.recipe[0] == "mirrored" and isinstance(root.witness, _OrbitMap)
+        return root
+
+    def test_composed_mirrored_roots(self):
+        phi, psi = self.mirrored(Q(1, 2)), self.mirrored(Q(3, 4))
+        pair = compose_maps(phi, psi)
+        assert pair.maps == (phi.witness, psi.witness)
+        assert compose_maps(phi, psi.inverse_map()).maps == (phi.witness, psi.witness.partner)
+        assert iterate_map(phi, 3).maps == (phi.witness,) * 3
+        # reflections between them fold, and the identity they make drops
+        r = AffineMap(-1, Q(5, 4))
+        reflected = compose_maps(r, phi, r, r, psi, r)
+        assert reflected.maps == (r, phi.witness, psi.witness, r)
+        assert compose_maps(phi, IDENTITY, psi).maps == pair.maps
+        assert compose_maps(IDENTITY, phi) is phi and compose_maps(r, r) == IDENTITY
+        for chain in (pair, reflected, compose_maps(phi, AffineMap(1, Q(1, 8)), r, psi)):
+            assert_flat(chain)
+            for lo, hi in [(Q(5, 16), Q(7, 8)), (Q(3, 8), Q(15, 16))]:
+                assert_breaks_match(chain, lo, hi)
+
+    def census_odd_root(self):
+        # odd-census target 31: R∘F for a draw F of intensity 1, order 3
+        D = Multifunction.build(0, 1, [(0, Q(15, 16), Q(-1, 6), Q(225, 256)),
+                                       (Q(15, 16), 1, Q(-89, 16), Q(185, 32))],
+                                [(Q(15, 16), (Q(145, 256), Q(185, 256)))])
+        art = build_decreasing_odd_root(D, 3)
+        assert isinstance(art, RootArtifact) and art.verification.exact
+        return D, art
+
+    def test_iterates_of_a_census_odd_root(self):
+        D, art = self.census_odd_root()
+        inner = mirrored = 0
+        for br in iterate(art.realized, 3).branches:
+            chains = list(compositions(br.map))
+            # f³ composes the root's glued maps, which keep their wrapper
+            # and its memo; every chain inside them is flat
+            top, rest = chains[0], chains[1:]
+            assert top is br.map
+            assert all(isinstance(m.witness, GluedMap) for m in top.maps
+                       if isinstance(m, GenericMap))
+            for chain in rest:
+                assert_flat(chain)
+                mirrored += sum(m.recipe[:1] == ("mirrored",) for m in chain.maps
+                                if isinstance(m, _OrbitMap))
+            inner += len(rest)
+        assert inner and mirrored
+
+    @pytest.mark.parametrize("kind", ["inc", "sq", "odd"])
+    def test_no_identity_in_built_chains(self, kind):
+        cases = [(n, art) for _, n, art in (build(kind, seed, 2 + seed % 2)
+                                            for seed in range(8))
+                 if isinstance(art, RootArtifact)]
+        pipeline = {"inc": "increasing", "sq": "dec_square", "odd": "dec_odd"}[kind]
+        cases += [(n, art) for _, n, art in fixture_roots()
+                  if art.recipe.pipeline == pipeline]
+        if kind == "odd":
+            cases.append((3, self.census_odd_root()[1]))
+        chains = 0
+        for n, art in cases:
+            for f in (art.realized, iterate(art.realized, n)):
+                for br in f.branches:
+                    for chain in compositions(br.map):
+                        assert IDENTITY not in chain.maps, chain
+                        chains += 1
+        assert chains
 
 
 def one_branch(m, orientation=mf.INC):

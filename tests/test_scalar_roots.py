@@ -33,6 +33,7 @@ from mfroots.scalar_roots import (
     increasing_nth_root,
     odd_swap_maps,
 )
+from mfroots.maps import reflect_map
 from mfroots.errors import (
     BadSeedError,
     EvaluationRangeError,
@@ -45,6 +46,7 @@ from mfroots.io import load_mf
 from mfroots.scalars import format_scalar
 
 from conftest import (
+    compositions,
     data_path,
     lazy_objects,
     random_dec_selfpair_target,
@@ -730,6 +732,76 @@ class TestDeclaredIntervals:
         assert root.inverse(root(Q(1, 3))) == Q(1, 3)
 
 
+def reflected_root_oracle(g, w, p, n, seed, cover=None, confine=None):
+    """(forward, backward) of the mirrored root as r∘φ∘r: the orbit root φ
+    of the reflected problem between two reflections r(x) = w + p − x,
+    refusing an argument outside [w, p] and naming the caller's point when
+    a preimage falls outside.  The construction the in-frame orbit map
+    replaced, kept as its oracle."""
+    pivot = w + p
+    r = AffineMap(-1, pivot)
+    base = _OrbitMap.root(reflect_map(g, pivot), pivot - p, pivot - w, n,
+                          scalar_roots._mirror_seed(seed, pivot),
+                          cover=scalar_roots._mirror_triple(cover, pivot),
+                          confine=scalar_roots._mirror_triple(confine, pivot))
+
+    def forward(x):
+        scalar_roots._in_range(x, w, p)
+        return r(base(r(x)))
+
+    def backward(z):
+        scalar_roots._in_range(z, w, p)
+        try:
+            return r(base.inverse(r(z)))
+        except EvaluationRangeError:
+            raise EvaluationRangeError(
+                f"{format_scalar(z)} has no preimage inside "
+                f"[{format_scalar(w)}, {format_scalar(p)}]") from None
+
+    return forward, backward
+
+
+class TestMirroredRoot:
+    """A mirrored root is one orbit map of the caller's frame, turned about
+    the pivot; it gives the values and the refusals of r∘φ∘r."""
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_matches_the_reflected_construction(self, seed):
+        rng = random.Random(seed)
+        w = Q(rng.randint(0, 8), 16)
+        p = w + Q(rng.randint(1, 16), 16)
+        s = Q(rng.randint(1, 15), 16)
+        g = AffineMap(s, p * (1 - s))  # above the diagonal, attracting to p
+        if rng.random() < 0.3:
+            g = GenericMap(mf.INC, g, g.inverse, ("g",))  # stepped, not jumped
+        n = rng.choice([2, 3, 4])
+        anchor = None if rng.random() < 0.5 else w + (p - w) * Q(rng.randint(0, 7), 8)
+        cover = confine = None
+        if rng.random() < 0.4:
+            cover = (rng.randint(1, n - 1), w + (p - w) * Q(rng.randint(1, 7), 8), None)
+        if rng.random() < 0.4:
+            confine = (rng.randint(1, n - 1), w + (p - w) * Q(rng.randint(1, 7), 8), None)
+        args = (g, w, p, n, ScalarRootSeed(anchor=anchor), cover, confine)
+        built = outcome(lambda: scalar_roots._root_above(*args, closed_form=False))
+        oracle = outcome(lambda: reflected_root_oracle(*args))
+        assert built[0] == oracle[0], (built, oracle)
+        if built[0] == "error":  # a pin outside the fundamental domain
+            assert built == oracle
+            return
+        root, (forward, backward) = built[2], oracle[2]
+        assert root.recipe[0] == "mirrored" and isinstance(root.forward, _OrbitMap)
+        assert root.witness is (root.forward if root.forward.exact else None)
+        points = [w, p, w - Q(1, 64), p + Q(1, 64),
+                  *(w + (p - w) * Q(i, 17) for i in range(1, 17)),
+                  *(p - (p - w) / 2 ** k for k in (5, 20, 60))]
+        for x in points:
+            assert outcome(root, x) == outcome(forward, x), x
+            assert outcome(root.inverse, x) == outcome(backward, x), x
+            y = outcome(forward, x)
+            if y[0] == "ok":
+                assert outcome(root.inverse, y[2]) == outcome(backward, y[2]), y
+
+
 def _glue_cases():
     def root():
         return scalar_roots._increasing_root_auto(
@@ -1048,7 +1120,8 @@ class TestEvaluationCache:
     @pytest.mark.parametrize("kind", ["glued", "mirrored"])
     def test_finish_hashes_no_composed_map(self, kind, monkeypatch):
         # a decreasing square root glues two conjugacies, and a decreasing
-        # cubic root holds a mirrored root r∘φ∘r, a composed lazy map
+        # cubic root holds a mirrored orbit root inside its compositions,
+        # as the orbit map itself, not as a generic map
         if kind == "glued":
             F, n = random_reversing_pair_target(random.Random(0)), 2
             art = builder.build_decreasing_square_root(F)
@@ -1057,7 +1130,13 @@ class TestEvaluationCache:
             art = builder.build_decreasing_odd_root(F, 3)
         recipes = {m.recipe[0] for br in art.realized.branches
                    for m in _generic_maps(br.map)}
-        assert {"glued_conjugacy" if kind == "glued" else "mirrored"} <= recipes
+        chained = {m.recipe[0] for br in art.realized.branches
+                   for chain in compositions(br.map) for m in chain.maps
+                   if isinstance(m, _OrbitMap) and m.recipe}
+        if kind == "glued":
+            assert "glued_conjugacy" in recipes
+        else:
+            assert "mirrored" in chained and "mirrored" not in recipes
         hashed, evaluated = [], []
         call = ComposedMap.__call__
         monkeypatch.setattr(ComposedMap, "__hash__", lambda m: hashed.append(m) or id(m))

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Paired benchmark runs of a parent commit and of the working tree.
 
-    python3 tools/pairs.py --workload roots --seed 14 --seconds 20 --pairs 10
+    python3 tools/pairs.py --workload roots --seed 14 --seconds 20 --pairs 10 --json BENCH_roots.json
     python3 tools/pairs.py --workload analyze --seed 5 --seconds 0 --pairs 1 --parent HEAD~1
 
 Run it from anywhere inside a git checkout.  The parent ref (``HEAD`` by
@@ -18,13 +18,18 @@ failed share that moves with the count's parity).  Then, for each
 end-to-end metric of ``BENCHMARK.json``: the median and quartiles of both
 sides, the ratio of the medians, how many pairs the change wins, and
 whether the gap between the medians exceeds the parent's quartile spread.
-Stdlib only.  Exits 1 when a run fails or reports a wrong result.
+``--json PATH`` also writes all of it to PATH: both refs, the host, each
+run's ``failed``/``attempted``/blocks, and each metric's values, medians,
+quartiles and wins.  Stdlib only.  Exits 1 when a run fails or reports a
+wrong result.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import re
 import statistics
 import subprocess
@@ -82,13 +87,13 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--parent", default="HEAD", help="git ref of the parent side")
+    parser.add_argument("--json", metavar="PATH", help="also write the results to PATH")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
 
     root = Path(git(Path.cwd(), "rev-parse", "--show-toplevel").decode().strip())
     spec = json.loads((root / "BENCHMARK.json").read_text())
-    metrics = [(m["name"], m["better"]) for m in spec["end_to_end"]]
     runs = {"parent": [], "change": []}
     with tempfile.TemporaryDirectory(prefix="pairs-") as tmp:
         export(root, args.parent, Path(tmp))
@@ -104,18 +109,43 @@ def main(argv=None) -> int:
 
     print(f"\n{args.workload} seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s, "
           f"parent {args.parent}: median [q1-q3]")
-    for name, better in metrics:
+    summary = {}
+    for metric in spec["end_to_end"]:
+        name, better = metric["name"], metric["better"]
         old = [r["metrics"][name]["value"] for r in runs["parent"]]
         new = [r["metrics"][name]["value"] for r in runs["change"]]
         (o1, om, o3), (n1, nm, n3) = spread(old), spread(new)
         wins = sum((b < a) if better == "lower" else (b > a) for a, b in zip(old, new))
+        beyond = abs(nm - om) > o3 - o1
+        summary[name] = {**metric, "parent": old, "change": new, "parent_median": om,
+                         "parent_quartiles": [o1, o3], "change_median": nm,
+                         "change_quartiles": [n1, n3],
+                         "ratio_of_medians": nm / om if om else None, "change_wins": wins,
+                         "gap_beyond_parent_spread": beyond}
         ratio = f"x{nm / om:.3f}" if om else "n/a"
-        clear = "beyond" if abs(nm - om) > o3 - o1 else "within"
-        gap = (f"gap {clear} the parent's quartile spread" if args.pairs > 1
-               else "one pair, no spread")
+        gap = (f"gap {'beyond' if beyond else 'within'} the parent's quartile spread"
+               if args.pairs > 1 else "one pair, no spread")
         print(f"{name:12s} parent {om:.4g} [{o1:.4g}-{o3:.4g}]  change {nm:.4g} "
               f"[{n1:.4g}-{n3:.4g}]  {ratio}  change wins {wins} of {args.pairs}  "
               f"{gap} ({better} is better)")
+    if args.json:
+        head = git(root, "rev-parse", "HEAD").decode().strip()
+        dirty = bool(git(root, "status", "--porcelain", "--untracked-files=no").strip())
+        report = {
+            "command": " ".join(["python3", "tools/pairs.py", *(argv or sys.argv[1:])]),
+            "workload": args.workload, "seed": args.seed, "seconds": args.seconds,
+            "pairs": args.pairs,
+            "parent": {"ref": args.parent,
+                       "commit": git(root, "rev-parse", args.parent).decode().strip()},
+            "change": {"ref": "working tree", "commit": head, "uncommitted_changes": dirty},
+            "host": {"python": platform.python_version(), "platform": platform.platform(),
+                     "cpus": os.cpu_count()},
+            "order": "pair i (from 1) runs the parent first when i is odd",
+            "runs": {side: [{k: r[k] for k in ("correct", "failed", "attempted", "blocks")}
+                            for r in results] for side, results in runs.items()},
+            "metrics": summary,
+        }
+        Path(args.json).write_text(json.dumps(report, indent=1) + "\n")
     bad = [r for side in runs.values() for r in side if not r["correct"]]
     return 1 if bad else 0
 
