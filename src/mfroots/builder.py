@@ -54,7 +54,7 @@ from .scalar_roots import (
     evaluation_cache,
     odd_swap_maps,
 )
-from .scalars import Scalar, as_scalar, format_scalar
+from .scalars import Scalar, as_scalar, format_scalar, larger, low_high, smaller, within
 from .structure import (
     _require_exclusive,
     classify_jump,
@@ -177,9 +177,9 @@ def _piecewise_inverse(branches: Tuple[Branch, ...], ranges: list, w: Scalar) ->
     ``ranges`` keeps the ends of each branch image, taken when first needed."""
     for i, br in enumerate(branches):
         if ranges[i] is None:
-            ranges[i] = sorted((br.map(br.lo), br.map(br.hi)))
+            ranges[i] = low_high(br.map(br.lo), br.map(br.hi))
         lo, hi = ranges[i]
-        if lo <= w <= hi:
+        if within(w, lo, hi):
             return br.map.inverse(w)
     raise MfError(f"pullback value {format_scalar(w)} misses every branch range")
 
@@ -192,7 +192,7 @@ def _pullback_valueset(branches: Tuple[Branch, ...], V: ValueSet,
         for c in V.components:
             p = _piecewise_inverse(branches, ranges, c.lo)
             q = _piecewise_inverse(branches, ranges, c.hi)
-            comps.append(ClosedInterval(min(p, q), max(p, q)))
+            comps.append(ClosedInterval(*low_high(p, q)))
         V = ValueSet.from_intervals(comps)
     return V
 
@@ -247,12 +247,25 @@ def _map_recipe(m) -> object:
     return ["generic", repr(recipe)]
 
 
+def _one_cache(build):
+    """``build`` run inside one evaluation cache (``evaluation_cache``),
+    dropped when it returns or raises: the construction's probes and
+    ``_finish``'s proof ask the same lazy maps at many of the same points."""
+    @functools.wraps(build)
+    def cached(*args, **kwargs):
+        with evaluation_cache():
+            return build(*args, **kwargs)
+    return cached
+
+
 def _finish(F: Multifunction, realized: Multifunction, n: int,
             pipeline: str, orientation: str,
             payload: Dict[str, object]) -> RootArtifact:
     """Validate a constructed root, verify fⁿ = F and attach its recipe.
     Both steps ask the root's lazy maps at many of the same points, so
-    they share one evaluation cache, dropped on return."""
+    they share one evaluation cache: the build's, which the cache is
+    re-entrant to join, or one of its own when called alone, dropped on
+    return."""
     with evaluation_cache():
         report = realized.validate()
         if not report.ok:
@@ -399,6 +412,7 @@ def _merge_piece_roots(domain: ClosedInterval,
     return Multifunction(domain, INC, tuple(fused), jumps)
 
 
+@_one_cache
 def build_increasing_root(F: Multifunction, n: int,
                           seed: Optional[ScalarRootSeed] = None) -> BuildOutcome:
     """Strictly increasing order-n root of an increasing exclusive
@@ -563,9 +577,9 @@ def _pullback_hulls(branches, delta, invariant, unrouted: str):
         if t not in invariant:
             raise UnsupportedCaseError(
                 f"interval {i} maps into a non-invariant interval{unrouted}")
-        ends = sorted((br.map(br.lo), br.map(br.hi)))
+        ends = low_high(br.map(br.lo), br.map(br.hi))
         old = hulls.get(t, ends)
-        hulls[t] = (min(old[0], ends[0]), max(old[1], ends[1]))
+        hulls[t] = (smaller(old[0], ends[0]), larger(old[1], ends[1]))
     return hulls
 
 
@@ -573,6 +587,7 @@ def _pullback_hulls(branches, delta, invariant, unrouted: str):
 # decreasing square roots of increasing targets
 # ---------------------------------------------------------------------------
 
+@_one_cache
 def build_decreasing_square_root(F: Multifunction,
                                  pairing: Optional[List[Tuple[int, int]]] = None,
                                  seed: Optional[ScalarRootSeed] = None) -> BuildOutcome:
@@ -643,6 +658,7 @@ def build_decreasing_square_root(F: Multifunction,
 # decreasing odd roots of decreasing targets
 # ---------------------------------------------------------------------------
 
+@_one_cache
 def build_decreasing_odd_root(F: Multifunction, k: int,
                               seed: Optional[ScalarRootSeed] = None) -> BuildOutcome:
     """Strictly decreasing k-th root (k odd) of a decreasing exclusive

@@ -10,7 +10,6 @@ of G.
 
 from __future__ import annotations
 
-import bisect
 import enum
 import functools
 import itertools
@@ -38,7 +37,26 @@ from .maps import (
     map_is_exact_rational,
     reflect_map,
 )
-from .scalars import Scalar, as_scalar, format_scalar, is_exact
+from .scalars import (
+    Scalar,
+    as_scalar,
+    bisect_left,
+    bisect_right,
+    eq,
+    extrapolate,
+    format_scalar,
+    inside,
+    is_exact,
+    larger,
+    le,
+    low_high,
+    lt,
+    midpoint,
+    ordered,
+    smaller,
+    thirds,
+    within,
+)
 
 
 class Side(enum.Enum):
@@ -62,19 +80,19 @@ class ClosedInterval:
     def __post_init__(self):
         object.__setattr__(self, "lo", as_scalar(self.lo))
         object.__setattr__(self, "hi", as_scalar(self.hi))
-        if not self.lo <= self.hi:
+        if not le(self.lo, self.hi):
             raise StructureError(f"interval needs lo <= hi, got {self}")
 
     @property
     def is_point(self) -> bool:
-        return self.lo == self.hi
+        return eq(self.lo, self.hi)
 
     @property
     def is_exact(self) -> bool:
         return is_exact(self.lo) and is_exact(self.hi)
 
     def contains(self, x: Scalar) -> bool:
-        return self.lo <= x <= self.hi
+        return within(x, self.lo, self.hi)
 
     def reflected(self, pivot_sum: Scalar) -> "ClosedInterval":
         return ClosedInterval(pivot_sum - self.hi, pivot_sum - self.lo)
@@ -96,7 +114,7 @@ class ValueSet:
         if not comps:
             raise StructureError("value set must be nonempty")
         for left, right in zip(comps, comps[1:]):
-            if not left.hi < right.lo:
+            if not lt(left.hi, right.lo):
                 raise StructureError(f"components must be strictly increasing: {comps}")
         object.__setattr__(self, "components", comps)
         object.__setattr__(self, "_los", tuple(c.lo for c in comps))
@@ -104,15 +122,16 @@ class ValueSet:
     @classmethod
     def from_intervals(cls, intervals: Iterable[ClosedInterval]) -> "ValueSet":
         """Normalize arbitrary closed intervals: sort and merge overlaps
-        (touching intervals merge; the union is exact, never the hull)."""
-        items = sorted(intervals, key=lambda iv: (iv.lo, iv.hi))
+        (touching intervals merge; the union is exact, never the hull).
+        Intervals with the same lower end merge whatever their order."""
+        items = ordered(intervals, key=lambda iv: iv.lo)
         if not items:
             raise StructureError("value set must be nonempty")
         merged = [items[0]]
         for iv in items[1:]:
             last = merged[-1]
-            if iv.lo <= last.hi:
-                if iv.hi > last.hi:
+            if le(iv.lo, last.hi):
+                if lt(last.hi, iv.hi):
                     merged[-1] = ClosedInterval(last.lo, iv.hi)
             else:
                 merged.append(iv)
@@ -151,7 +170,7 @@ class ValueSet:
         return all(c.is_exact for c in self.components)
 
     def contains(self, x: Scalar) -> bool:
-        idx = bisect.bisect_right(self._los, x) - 1
+        idx = bisect_right(self._los, x) - 1
         return idx >= 0 and self.components[idx].contains(x)
 
     def singleton_value(self) -> Scalar:
@@ -204,7 +223,7 @@ class Branch:
     def __post_init__(self):
         object.__setattr__(self, "lo", as_scalar(self.lo))
         object.__setattr__(self, "hi", as_scalar(self.hi))
-        if not self.lo < self.hi:
+        if not lt(self.lo, self.hi):
             raise StructureError("branch needs lo < hi")
 
     def limit(self, side_point: Scalar) -> Scalar:
@@ -264,7 +283,7 @@ class EquivalenceReport:
 
 def _tol_close(x: Scalar, y: Scalar, tol: float) -> bool:
     if is_exact(x) and is_exact(y):
-        return x == y
+        return eq(x, y)
     return abs(x - y) <= tol
 
 
@@ -279,17 +298,18 @@ class Multifunction:
 
     def __post_init__(self):
         a, b = self.domain.lo, self.domain.hi
-        if not a < b:
+        if not lt(a, b):
             raise StructureError("domain must be nondegenerate")
         locs = [j.location for j in self.jumps]
-        if any(not a <= c <= b for c in locs):
+        if any(not within(c, a, b) for c in locs):
             raise StructureError("jump outside domain")
-        if any(x >= y for x, y in zip(locs, locs[1:])):
+        if any(not lt(x, y) for x, y in zip(locs, locs[1:])):
             raise StructureError("jumps must be strictly increasing")
         cuts = [a] + locs + [b]
-        expected = [(u, v) for u, v in zip(cuts, cuts[1:]) if u < v]
+        expected = [(u, v) for u, v in zip(cuts, cuts[1:]) if lt(u, v)]
         got = [(br.lo, br.hi) for br in self.branches]
-        if expected != got:
+        if len(expected) != len(got) or not all(
+                eq(u, p) and eq(v, q) for (u, v), (p, q) in zip(expected, got)):
             raise StructureError(
                 f"branches {got} do not tile the jump-free gaps {expected}"
             )
@@ -316,8 +336,8 @@ class Multifunction:
                 val = [val]
             comps = [ClosedInterval(as_scalar(p), as_scalar(q)) for p, q in val]
             jps.append(JumpPoint(as_scalar(loc), ValueSet.from_intervals(comps)))
-        jps.sort(key=lambda j: j.location)
-        branches.sort(key=lambda br: br.lo)
+        jps = ordered(jps, key=lambda j: j.location)
+        branches = ordered(branches, key=lambda br: br.lo)
         orientation = branches[0].map.orientation if branches else INC
         return cls(ClosedInterval(as_scalar(lo), as_scalar(hi)), orientation,
                    tuple(branches), tuple(jps))
@@ -331,11 +351,11 @@ class Multifunction:
     @property
     def includes_left_endpoint(self) -> bool:
         """Domain endpoint a is covered by the first branch closure."""
-        return not (self.jumps and self.jumps[0].location == self.domain.lo)
+        return not (self.jumps and eq(self.jumps[0].location, self.domain.lo))
 
     @property
     def includes_right_endpoint(self) -> bool:
-        return not (self.jumps and self.jumps[-1].location == self.domain.hi)
+        return not (self.jumps and eq(self.jumps[-1].location, self.domain.hi))
 
     @property
     def is_exact(self) -> bool:
@@ -345,24 +365,24 @@ class Multifunction:
 
     def jump_at(self, x: Scalar) -> Optional[JumpPoint]:
         locs = self._jump_locs
-        i = bisect.bisect_left(locs, x)
-        if i < len(locs) and locs[i] == x:
+        i = bisect_left(locs, x)
+        if i < len(locs) and eq(locs[i], x):
             return self.jumps[i]
         return None
 
     def branch_containing(self, x: Scalar, closure: bool = False) -> Optional[Branch]:
         """Branch whose open core contains x; with closure=True also match
         endpoint inclusion at a/b when no jump sits there."""
-        i = bisect.bisect_right(self._branch_los, x) - 1
+        i = bisect_right(self._branch_los, x) - 1
         if i >= 0:
             br = self.branches[i]
-            if br.lo < x < br.hi:
+            if inside(x, br.lo, br.hi):
                 return br
         if closure:
-            if (x == self.domain.lo and self.includes_left_endpoint
+            if (eq(x, self.domain.lo) and self.includes_left_endpoint
                     and self.branches):
                 return self.branches[0]
-            if (x == self.domain.hi and self.includes_right_endpoint
+            if (eq(x, self.domain.hi) and self.includes_right_endpoint
                     and self.branches):
                 return self.branches[-1]
         return None
@@ -386,18 +406,18 @@ class Multifunction:
         if not self.domain.contains(x):
             raise OutOfDomainError(f"{format_scalar(x)} outside {self.domain}")
         if side is LEFT:
-            if x == self.domain.lo:
+            if eq(x, self.domain.lo):
                 raise NoSuchSideError("no left limit at the left endpoint")
             # the first branch ending at or after x, if it starts before x
-            i = bisect.bisect_left(self._branch_his, x)
-            if i < len(self.branches) and self.branches[i].lo < x:
+            i = bisect_left(self._branch_his, x)
+            if i < len(self.branches) and lt(self.branches[i].lo, x):
                 return self.branches[i].limit(x)
         else:
-            if x == self.domain.hi:
+            if eq(x, self.domain.hi):
                 raise NoSuchSideError("no right limit at the right endpoint")
             # the last branch starting at or before x, if it ends after x
-            i = bisect.bisect_right(self._branch_los, x) - 1
-            if i >= 0 and x < self.branches[i].hi:
+            i = bisect_right(self._branch_los, x) - 1
+            if i >= 0 and lt(x, self.branches[i].hi):
                 return self.branches[i].limit(x)
         raise StructureError(f"no adjacent branch at {format_scalar(x)}")
 
@@ -410,26 +430,24 @@ class Multifunction:
         exactly where finite-set jump values leave them.
         """
         a, b = self.domain.lo, self.domain.hi
-        if S.min_value < a or S.max_value > b:
+        if lt(S.min_value, a) or lt(b, S.max_value):
             raise OutOfDomainError(f"{S} escapes {self.domain}")
         pieces: List[ClosedInterval] = []
         for comp in S.components:
             p, q = comp.lo, comp.hi
-            for jp in self.jumps[bisect.bisect_left(self._jump_locs, p):
-                                 bisect.bisect_right(self._jump_locs, q)]:
+            for jp in self.jumps[bisect_left(self._jump_locs, p):
+                                 bisect_right(self._jump_locs, q)]:
                 pieces.extend(jp.value.components)
             # branches meeting [p, q] in more than an endpoint of theirs:
             # hi > p and lo < q (for p == q, the branch whose core holds p)
-            for br in self.branches[bisect.bisect_right(self._branch_his, p):
-                                    bisect.bisect_left(self._branch_los, q)]:
-                u = max(br.lo, p)
-                v = min(br.hi, q)
-                lo_img, hi_img = br.map(u), br.map(v)
-                pieces.append(ClosedInterval(min(lo_img, hi_img),
-                                             max(lo_img, hi_img)))
-            if p == q and self.jump_at(p) is None:
+            for br in self.branches[bisect_right(self._branch_his, p):
+                                    bisect_left(self._branch_los, q)]:
+                u = larger(br.lo, p)
+                v = smaller(br.hi, q)
+                pieces.append(ClosedInterval(*low_high(br.map(u), br.map(v))))
+            if eq(p, q) and self.jump_at(p) is None:
                 br = self.branch_containing(p, closure=True)
-                if br is not None and not (br.lo < p < br.hi):
+                if br is not None and not inside(p, br.lo, br.hi):
                     pieces.append(ClosedInterval(br.map(p), br.map(p)))
         return ValueSet.from_intervals(pieces)
 
@@ -452,20 +470,20 @@ class Multifunction:
         """Restriction to [lo, hi] ⊂ [a, b]; jump values at the new
         endpoints are clipped, degenerate clips stop being jumps."""
         lo, hi = as_scalar(lo), as_scalar(hi)
-        if not (self.domain.lo <= lo < hi <= self.domain.hi):
+        if not (le(self.domain.lo, lo) and lt(lo, hi) and le(hi, self.domain.hi)):
             raise OutOfDomainError("restriction interval escapes the domain")
         branches = []
         for br in self.branches:
-            u, v = max(br.lo, lo), min(br.hi, hi)
-            if u < v:
+            u, v = larger(br.lo, lo), smaller(br.hi, hi)
+            if lt(u, v):
                 branches.append(Branch(u, v, br.map))
         jumps = []
         for jp in self.jumps:
-            if not lo <= jp.location <= hi:
+            if not within(jp.location, lo, hi):
                 continue
-            comps = [ClosedInterval(max(c.lo, lo), min(c.hi, hi))
+            comps = [ClosedInterval(larger(c.lo, lo), smaller(c.hi, hi))
                      for c in jp.value.components
-                     if c.hi >= lo and c.lo <= hi]
+                     if le(lo, c.hi) and le(c.lo, hi)]
             if not comps:
                 raise OutOfDomainError(
                     f"value at {format_scalar(jp.location)} lies entirely "
@@ -473,7 +491,7 @@ class Multifunction:
             clipped = ValueSet.from_intervals(comps)
             if clipped.has_multiple_points:
                 jumps.append(JumpPoint(jp.location, clipped))
-            elif lo < jp.location < hi:
+            elif inside(jp.location, lo, hi):
                 # an interior jump clipped to one point can match at most
                 # one adjacent limit, so the window breaks usc
                 raise OutOfDomainError(
@@ -481,9 +499,6 @@ class Multifunction:
                     f"{format_scalar(jp.location)} to a single point")
         return Multifunction(ClosedInterval(lo, hi), self.orientation,
                              tuple(branches), tuple(jumps))
-
-    def __matmul__(self, inner: "Multifunction") -> "Multifunction":
-        return compose(self, inner)
 
     # -- validation ---------------------------------------------------------
 
@@ -519,7 +534,7 @@ class Multifunction:
             left = right = None
             # the branches tile the gaps between jumps, so branch i opens
             # at c and branch i - 1 closes there (none at a domain end)
-            i = bisect.bisect_left(self._branch_los, c)
+            i = bisect_left(self._branch_los, c)
             if i > 0:
                 left = self.branches[i - 1].limit(c)
             if i < len(self.branches):
@@ -542,15 +557,14 @@ class Multifunction:
         prev_where = None
         for kind, obj in self._ordered_pieces():
             if kind == "branch":
-                ends = (obj.limit(obj.lo), obj.limit(obj.hi))
-                lo_val, hi_val = min(ends), max(ends)
+                lo_val, hi_val = low_high(obj.limit(obj.lo), obj.limit(obj.hi))
                 where = obj.lo
             else:
                 lo_val, hi_val = obj.value.min_value, obj.value.max_value
                 where = obj.location
             enter, leave = (lo_val, hi_val) if inc else (hi_val, lo_val)
             if prev_hi is not None:
-                good = prev_hi <= enter if inc else prev_hi >= enter
+                good = le(prev_hi, enter) if inc else le(enter, prev_hi)
                 if not good and not _tol_close(prev_hi, enter, tol):
                     out.append(Violation(
                         "monotonicity", where,
@@ -558,18 +572,18 @@ class Multifunction:
                         f"and {format_scalar(where)}"))
             prev_hi, prev_where = leave, where
             for v in (lo_val, hi_val):
-                if not (a <= v <= b) and not (
+                if not within(v, a, b) and not (
                         _tol_close(v, a, tol) or _tol_close(v, b, tol)):
                     out.append(Violation("range", where,
                                          f"value {format_scalar(v)} escapes {self.domain}"))
         return ValidationReport(tuple(out), tuple(sampled))
 
     def _ordered_pieces(self):
-        # a jump at c precedes the branch opening at c
-        items = [(br.lo, 1, "branch", br) for br in self.branches]
-        items += [(jp.location, 0, "jump", jp) for jp in self.jumps]
-        items.sort(key=lambda kv: (kv[0], kv[1]))
-        return [(kind, obj) for _, _, kind, obj in items]
+        # a jump at c precedes the branch opening at c: the jumps come
+        # first, and the sort is stable
+        items = [(jp.location, "jump", jp) for jp in self.jumps]
+        items += [(br.lo, "branch", br) for br in self.branches]
+        return [(kind, obj) for _, kind, obj in ordered(items, key=lambda kv: kv[0])]
 
 
 # ---------------------------------------------------------------------------
@@ -588,25 +602,22 @@ class _Pullback:
 
     def __init__(self, F: Multifunction):
         self.F = F
-        images = []
-        for br in F.branches:
-            ends = (br.map(br.lo), br.map(br.hi))
-            images.append((min(ends), max(ends), br))
-        images.sort(key=lambda im: im[0])
+        images = ordered(((*low_high(br.map(br.lo), br.map(br.hi)), br) for br in F.branches),
+                         key=lambda im: im[0])
         self.images = images
         self.img_los = [im[0] for im in images]
-        self.reach = list(itertools.accumulate((im[1] for im in images), max))
+        self.reach = list(itertools.accumulate((im[1] for im in images), larger))
 
     def __call__(self, targets) -> set:
         F, images, reach = self.F, self.images, self.reach
         hits = set()
         for s in targets:
-            i = bisect.bisect_left(self.img_los, s) - 1
-            while i >= 0 and reach[i] > s:
+            i = bisect_left(self.img_los, s) - 1
+            while i >= 0 and lt(s, reach[i]):
                 _, img_hi, br = images[i]
-                if s < img_hi:
+                if lt(s, img_hi):
                     x = br.map.inverse(s)
-                    if br.lo < x < br.hi:
+                    if inside(x, br.lo, br.hi):
                         hits.add(x)
                 i -= 1
         for endpoint, included, br in (
@@ -626,7 +637,7 @@ def compose(G: Multifunction, F: Multifunction) -> Multifunction:
     the range of F stays inside G's domain.
     """
     rng = F.image(ValueSet((F.domain,)))
-    if rng.min_value < G.domain.lo or rng.max_value > G.domain.hi:
+    if lt(rng.min_value, G.domain.lo) or lt(G.domain.hi, rng.max_value):
         raise RangeEscapeError(
             f"range {rng} of inner multifunction escapes {G.domain}")
 
@@ -635,7 +646,7 @@ def compose(G: Multifunction, F: Multifunction) -> Multifunction:
         locations |= _Pullback(F)(set(G.jump_locations))
 
     jumps = []
-    for loc in sorted(locations):
+    for loc in ordered(locations):
         value = G.image(F(loc))
         if value.has_multiple_points:
             jumps.append(JumpPoint(loc, value))
@@ -644,12 +655,13 @@ def compose(G: Multifunction, F: Multifunction) -> Multifunction:
     cuts = [a] + [j.location for j in jumps] + [b]
     branches = []
     for u, v in zip(cuts, cuts[1:]):
-        if not u < v:
+        if not lt(u, v):
             continue
-        inner = F.branch_containing((u + v) / 2)
+        mid = midpoint(u, v)
+        inner = F.branch_containing(mid)
         if inner is None:
             raise StructureError("composition lost a branch piece")
-        mid_val = inner.map((u + v) / 2)
+        mid_val = inner.map(mid)
         outer = G.branch_containing(mid_val, closure=True)
         if outer is None:
             raise StructureError(
@@ -787,8 +799,8 @@ def _guards_hold(items, e, x0) -> bool:
     z, x = e, x0
     for it in items:
         if isinstance(it, Guard):
-            lo, hi = min(z, x), max(z, x)
-            if any(lo < k < hi for k in it.knots):
+            lo, hi = low_high(z, x)
+            if any(inside(k, lo, hi) for k in it.knots):
                 return False
         else:
             z, x = it(z), it(x)
@@ -816,7 +828,7 @@ def _reduce_at(W, e, side, x0):
             continue
         if isinstance(it, AffineMap):
             if g is None:
-                prefix = compose_maps(it, prefix)
+                prefix = it.after(prefix)
             else:
                 g = compose_maps(it, g, it.inverse_map())
         else:
@@ -836,7 +848,7 @@ def _reduce_at(W, e, side, x0):
     for _ in range(_MAX_HALVINGS):
         if _guards_hold(items, e, x0):
             return g0(x0)
-        x0 = (e + x0) / 2
+        x0 = midpoint(e, x0)
     raise NoExactProofError(f"no neighbourhood of {format_scalar(e)} fits the glue pieces")
 
 
@@ -847,11 +859,11 @@ def _witness_pieces(W, u, v, limits):
     fundamental domain (``_reduce_at``), and the rest of [u, v] splits at
     W's breaks into the pieces (p, q), in increasing order, open intervals
     on each of which W is affine."""
-    cells = sorted({u, v, *limits})
+    cells = ordered({u, v, *limits})
     spans = []
     for a, b in zip(cells, cells[1:]):
         if a in limits and b in limits:
-            mid = (a + b) / 2
+            mid = midpoint(a, b)
             spans.append((_reduce_at(W, a, 1, mid), _reduce_at(W, b, -1, mid)))
         else:
             spans.append((_reduce_at(W, a, 1, b) if a in limits else a,
@@ -875,18 +887,17 @@ def _piece_points(cells, pieces):
     at = []
 
     def add(x):
-        if not points or (x is not points[-1] and x != points[-1]):
+        if not points or (x is not points[-1] and not eq(x, points[-1])):
             points.append(x)
 
     c = 0
     for p, q in pieces:
-        while c < len(cells) and cells[c] <= p:
+        while c < len(cells) and le(cells[c], p):
             add(cells[c])
             c += 1
         add(p)
         at.append(len(points) - 1)
-        third = (q - p) / 3
-        points.extend((p + third, q - third, q))
+        points.extend((*thirds(p, q), q))
     for x in cells[c:]:
         add(x)
     return points, at
@@ -905,7 +916,7 @@ def _prove_branch(W, A: AffineMap, u, v, limits):
     are the points of [u, v] where W's pieces accumulate."""
     cells, pieces = _witness_pieces(W, u, v, limits)
     for x in _piece_points(cells, pieces)[0]:
-        if _exact_value(W, x) != A(x):
+        if not eq(_exact_value(W, x), A(x)):
             return len(pieces), x
     return len(pieces), None
 
@@ -931,15 +942,15 @@ def _prove_monotone(W, u, v, inc: bool):
     after, before = {}, {}
     for i in at:
         w1, w2 = w[i + 1], w[i + 2]
-        if not (w1 < w2 if inc else w1 > w2):
+        if not (lt(w1, w2) if inc else lt(w2, w1)):
             return points[i + 1]
-        after[i], before[i + 3] = 2 * w1 - w2, 2 * w2 - w1
+        after[i], before[i + 3] = extrapolate(w1, w2), extrapolate(w2, w1)
     prev = None
     for i, x in enumerate(points):
         for value in (before.get(i), w[i], after.get(i)):
             if value is None:
                 continue
-            if prev is not None and (value < prev if inc else value > prev):
+            if prev is not None and (lt(value, prev) if inc else lt(prev, value)):
                 return x
             prev = value
     return None

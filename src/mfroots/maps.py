@@ -22,7 +22,6 @@ raises ``NoExactProofError`` naming the map when it has none.
 
 from __future__ import annotations
 
-import bisect
 import contextlib
 import enum
 import functools
@@ -32,7 +31,19 @@ from fractions import Fraction
 from typing import Callable, Optional, Tuple
 
 from .errors import NoExactProofError, StructureError
-from .scalars import Scalar, format_scalar, is_exact
+from .scalars import (
+    Scalar,
+    bisect_left,
+    bisect_right,
+    eq,
+    format_scalar,
+    is_exact,
+    larger,
+    lt,
+    ordered,
+    smaller,
+    thirds,
+)
 
 
 class Orientation(enum.Enum):
@@ -52,15 +63,17 @@ INC = Orientation.INC
 DEC = Orientation.DEC
 
 
-# AffineMap evaluates on its coefficients' integer parts and builds each
-# result with one Fraction(num, den), where Fraction's operators normalize
-# after every step.  One normalization costs O(bits²) in the argument,
-# while the operators take gcds only against the small coefficients, so an
-# argument whose denominator reaches this bound takes the operators.  The
-# bound is the measured crossover of a·x + c and (y − c)/a with 3-bit
-# coefficients (min of 15 runs on a 2-vCPU VM): the integer path is 15 %
-# faster at 256 bits (2.45 against 2.84 µs), even at 320 bits and 10 %
-# slower at 384 bits (3.23 against 2.92 µs).
+# AffineMap evaluates on its coefficients' integer parts and the
+# argument's integer ratio (``as_integer_ratio()``, as the comparison
+# helpers of ``scalars`` read it), and builds each result with one
+# Fraction(num, den), where Fraction's operators normalize after every
+# step.  One normalization costs O(bits²) in the argument, while the
+# operators take gcds only against the small coefficients, so an argument
+# whose denominator reaches this bound takes the operators.  Measured on
+# a·x + c with 3-bit coefficients (min of 15 runs on a 2-vCPU VM, Python
+# 3.11), the integer path is 19 % faster at 256 bits (2.38 against
+# 2.94 µs), 16 % faster at 320 bits, even at 384 bits (3.31 against
+# 3.32 µs) and 6 % slower at 448 bits; the bound stays below the crossover.
 _KERNEL_BOUND = 1 << 320
 
 
@@ -83,10 +96,10 @@ class AffineMap:
             object.__setattr__(self, "slope", Fraction(self.slope))
         if type(self.intercept) is not Fraction:
             object.__setattr__(self, "intercept", Fraction(self.intercept))
-        if not self.slope:
+        ints = (*self.slope.as_integer_ratio(), *self.intercept.as_integer_ratio())
+        if not ints[0]:
             raise StructureError("affine map must have nonzero slope")
-        object.__setattr__(self, "_ints", (self.slope.numerator, self.slope.denominator,
-                                           self.intercept.numerator, self.intercept.denominator))
+        object.__setattr__(self, "_ints", ints)
 
     @property
     def orientation(self) -> Orientation:
@@ -97,17 +110,19 @@ class AffineMap:
         return True
 
     def __call__(self, x: Scalar) -> Scalar:
-        if type(x) is int or type(x) is Fraction and x.denominator < _KERNEL_BOUND:
-            sn, sd, tn, td = self._ints
-            p, q = x.numerator, x.denominator
-            return Fraction(sn * p * td + tn * sd * q, sd * q * td)
+        if type(x) is Fraction or type(x) is int:
+            p, q = x.as_integer_ratio()
+            if q < _KERNEL_BOUND:
+                sn, sd, tn, td = self._ints
+                return Fraction(sn * p * td + tn * sd * q, sd * q * td)
         return self.slope * x + self.intercept
 
     def inverse(self, y: Scalar) -> Scalar:
-        if type(y) is int or type(y) is Fraction and y.denominator < _KERNEL_BOUND:
-            sn, sd, tn, td = self._ints
-            p, q = y.numerator, y.denominator
-            return Fraction((p * td - tn * q) * sd, q * td * sn)
+        if type(y) is Fraction or type(y) is int:
+            p, q = y.as_integer_ratio()
+            if q < _KERNEL_BOUND:
+                sn, sd, tn, td = self._ints
+                return Fraction((p * td - tn * q) * sd, q * td * sn)
         return (y - self.intercept) / self.slope
 
     def inverse_map(self) -> "AffineMap":
@@ -132,9 +147,14 @@ class AffineMap:
         return cls(slope, Fraction(y1.numerator * sd * a - sn * x1.numerator * b, b * sd * a))
 
     def fixed_point(self) -> Optional[Fraction]:
-        if self.slope == 1:
+        sn, sd, tn, td = self._ints
+        if sn == sd:
             return None
-        return self.intercept / (1 - self.slope)
+        return Fraction(tn * sd, td * (sd - sn))
+
+    @property
+    def is_identity(self) -> bool:
+        return self._ints == (1, 1, 0, 1)
 
     def breaks(self, lo, hi) -> tuple:
         return ()
@@ -235,8 +255,13 @@ def evaluation_cache():
     maps (both directions of each ``scalar_roots._OrbitMap``) and of the
     composed and glued lazy maps, and the pieces of orbit, composed and
     glued maps on each span: a proof asks the same maps at the same points
-    and on the same spans again and again.  The memo is dropped when the
-    block ends, also when it raises."""
+    and on the same spans again and again.  The cache is re-entrant: a
+    block opened inside another joins the open memo, so each build opens
+    it once and its construction's probes and its proof share it.  The
+    memo is dropped when the outermost block ends, also when it raises."""
+    if _EVALUATIONS.get() is not None:
+        yield
+        return
     token = _EVALUATIONS.set({})
     try:
         yield
@@ -259,7 +284,7 @@ def _memoized(method):
         for a in args:
             if not is_exact(a):
                 return method(self, *args)
-            key += type(a), a.numerator, a.denominator
+            key += type(a), *a.as_integer_ratio()
         key = tuple(key)
         entry = memo.get(key)
         if entry is None:
@@ -297,24 +322,22 @@ class GluedMap:
     def is_exact(self) -> bool:
         return False  # piecewise: proofs read its pieces (breaks, germ)
 
-    def _index(self, x, knots, ascending=True) -> int:
-        i = 0
-        for k in knots:
-            if (x > k) if ascending else (x < k):
-                i += 1
-            else:
-                break
-        return i
-
     def __call__(self, x: Scalar) -> Scalar:
-        i = self._index(x, self.knots)
-        if i < len(self.knots) and x == self.knots[i]:
+        i = bisect_left(self.knots, x)  # the knots below x
+        if i < len(self.knots) and eq(x, self.knots[i]):
             return self.value_knots[i]
         return self.pieces[i](x)
 
     def inverse(self, w: Scalar) -> Scalar:
-        i = self._index(w, self.value_knots, self.orientation is INC)
-        if i < len(self.knots) and w == self.value_knots[i]:
+        # the value knots below w, or above it when the map decreases
+        values = self.value_knots
+        if self.orientation is INC:
+            i = bisect_left(values, w)
+        else:
+            i = 0
+            while i < len(values) and lt(w, values[i]):
+                i += 1
+        if i < len(values) and eq(w, values[i]):
             return self.knots[i]
         return self.pieces[i].inverse(w)
 
@@ -326,12 +349,14 @@ class GluedMap:
                         tuple(reversed(inv_pieces)), tuple(reversed(self.knots)))
 
     def _spans(self, lo, hi):
-        """(piece, a, b): each piece with the part [a, b] of [lo, hi] it covers."""
+        """(piece, a, b): each piece with the part [a, b] of [lo, hi] it
+        covers; a is lo itself, not only equal to it, unless the piece
+        opens at a knot above lo."""
         ends = (None, *self.knots, None)
         for i, piece in enumerate(self.pieces):
-            a = lo if ends[i] is None else max(lo, ends[i])
-            b = hi if ends[i + 1] is None else min(hi, ends[i + 1])
-            if a < b:
+            a = lo if ends[i] is None else larger(lo, ends[i])
+            b = hi if ends[i + 1] is None else smaller(hi, ends[i + 1])
+            if lt(a, b):
                 yield piece, a, b
 
     @_memoized
@@ -340,18 +365,18 @@ class GluedMap:
         # a knot unless it opens at lo
         pts: list = []
         for piece, a, b in self._spans(lo, hi):
-            if a != lo:
+            if a is not lo:
                 pts.append(a)
             pts.extend(piece.breaks(a, b))
         return tuple(pts)
 
     @_memoized
     def limits(self, lo, hi) -> tuple:
-        return tuple(sorted({e for piece, a, b in self._spans(lo, hi)
-                             for e in piece.limits(a, b)}))
+        return tuple(ordered({e for piece, a, b in self._spans(lo, hi)
+                              for e in piece.limits(a, b)}))
 
     def germ(self, z, side) -> list:
-        i = (bisect.bisect_right if side > 0 else bisect.bisect_left)(self.knots, z)
+        i = (bisect_right if side > 0 else bisect_left)(self.knots, z)
         return [Guard(self.knots), *self.pieces[i].germ(z, side)]
 
     def __repr__(self):
@@ -419,7 +444,7 @@ class ComposedMap:
                     if i == last:
                         split.append((p2, q2, None))
                         continue
-                    t1, t2 = p2 + (q2 - p2) / 3, q2 - (q2 - p2) / 3
+                    t1, t2 = thirds(p2, q2)
                     split.append((p2, q2, AffineMap.through(t1, m(c(t1)), t2, m(c(t2)))))
             segments = split
         return tuple(p for p, _, _ in segments[1:])
@@ -439,13 +464,13 @@ class ComposedMap:
                 y = x
                 for a in inner:
                     y = a(y)
-                if y != e:
+                if not eq(y, e):
                     raise NoExactProofError(
                         f"{m!r}: an accumulation point does not pull back through the chain")
                 found.add(x)
             lo, hi = (m(lo), m(hi)) if m.orientation is INC else (m(hi), m(lo))
             inner.append(m)
-        return tuple(sorted(found))
+        return tuple(ordered(found))
 
     def germ(self, z, side) -> list:
         items: list = []
@@ -480,7 +505,7 @@ def compose_maps(*maps) -> MonotoneMap:
         else:
             folded.append(m)
     if len(folded) > 1:
-        folded = [m for m in folded if m != _IDENTITY]
+        folded = [m for m in folded if not (isinstance(m, AffineMap) and m.is_identity)]
     if len(folded) <= 1:
         return folded[0] if folded else _IDENTITY
     return ComposedMap(tuple(m.witness if isinstance(m, GenericMap) and m.forward is m.witness

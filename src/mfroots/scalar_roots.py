@@ -58,7 +58,23 @@ from .maps import (
     iterate_map,
     reflect_map,
 )
-from .scalars import Scalar, as_scalar, format_scalar, is_exact, rational_nth_root
+from .scalars import (
+    Scalar,
+    as_scalar,
+    bisect_left,
+    bisect_right,
+    eq,
+    format_scalar,
+    inside,
+    is_exact,
+    le,
+    low_high,
+    lt,
+    midpoint,
+    ordered,
+    rational_nth_root,
+    within,
+)
 
 _MAX_ORBIT_STEPS = 200_000
 # Single steps an orbit takes before an exact affine orbit jumps in closed
@@ -125,15 +141,15 @@ def map_pattern(g, lo: Scalar, hi: Scalar, samples: int = 65) -> MapPattern:
     """Position of an increasing map relative to the diagonal on [lo, hi]."""
     if isinstance(g, AffineMap):
         s, t = g.slope, g.intercept
-        if s == 1:
-            if t == 0:
+        if eq(s, 1):
+            if g.is_identity:
                 return MapPattern("identity")
-            return MapPattern("below" if t < 0 else "above")
+            return MapPattern("below" if lt(t, 0) else "above")
         p = g.fixed_point()
-        if lo < p < hi:
-            return MapPattern("interior", p, attracting=s < 1)
-        below = g((lo + hi) / 2) < (lo + hi) / 2
-        return MapPattern("below" if below else "above")
+        if inside(p, lo, hi):
+            return MapPattern("interior", p, attracting=lt(s, 1))
+        mid = midpoint(lo, hi)
+        return MapPattern("below" if lt(g(mid), mid) else "above")
     signs = []
     pts = [lo + (hi - lo) * Fraction(i, samples - 1) for i in range(samples)]
     for x in pts:
@@ -261,15 +277,10 @@ class _SeedMap:
         self.pieces = pieces
         self.los = [p[0] for p in pieces]
         self.top = pieces[-1][1]
-        images = [sorted((m(lo), m(hi))) for lo, hi, m in pieces]
+        images = [low_high(m(lo), m(hi)) for lo, hi, m in pieces]
         self.img_los = [a for a, _ in images]
         self.img_his = [b for _, b in images]
         self._landed: dict = {}  # images -> (domain, landed knots)
-        # the ends' integer ratios: points compare on them as with operators
-        self._top = self.top.as_integer_ratio()
-        self._from_top = [(*lo.as_integer_ratio(), m) for lo, _, m in reversed(pieces)]
-        self._images = [(*a.as_integer_ratio(), *b.as_integer_ratio(), m)
-                        for (a, b), (_, _, m) in zip(images, pieces)]
 
     def landed(self, dom: "_Domain", images: bool) -> tuple:
         """The ends of the pieces, or of their images when ``images``,
@@ -279,29 +290,23 @@ class _SeedMap:
         if entry is None or entry[0] is not dom:
             knots = (*self.img_los, *self.img_his) if images else (*self.los, self.top)
             entry = self._landed[images] = (
-                dom, tuple(sorted({_orbit_land(dom, t)[0] for t in knots})))
+                dom, tuple(ordered({_orbit_land(dom, t)[0] for t in knots})))
         return entry[1]
 
     def piece(self, x):
         """The map of the piece that holds x: the last that starts at or
         below x."""
-        xn, xd = x.as_integer_ratio()
-        tn, td = self._top
-        if xn * td <= tn * xd:
-            for ln, ld, m in self._from_top:
-                if ln * xd <= xn * ld:
-                    return m
+        i = bisect_right(self.los, x) - 1
+        if i >= 0 and le(x, self.top):
+            return self.pieces[i][2]
         raise EvaluationRangeError(f"{format_scalar(x)} outside the seed domain")
 
     def inverse_piece(self, w):
         """The map of the piece whose image holds w: the first whose image
         reaches w, if it starts at or below w."""
-        wn, wd = w.as_integer_ratio()
-        for an, ad, bn, bd, m in self._images:
-            if wn * bd <= bn * wd:
-                if an * wd <= wn * ad:
-                    return m
-                break
+        i = bisect_left(self.img_his, w)
+        if i < len(self.pieces) and le(self.img_los[i], w):
+            return self.pieces[i][2]
         raise EvaluationRangeError(f"{format_scalar(w)} outside the seed image")
 
 
@@ -321,15 +326,10 @@ class _Domain:
 
     def __init__(self, g, anchor):
         self.g, self.anchor, self.image = g, anchor, g(anchor)
-        self.down = self.image < anchor  # g moves points down
+        self.down = lt(self.image, anchor)  # g moves points down
         self.fixed = None
-        if isinstance(g, AffineMap) and g.slope > 0 and is_exact(anchor):
+        if isinstance(g, AffineMap) and g.orientation is INC and is_exact(anchor):
             self.fixed = g.fixed_point()
-        # the ends' integer parts, which exact points are compared on
-        self.parts = None
-        if is_exact(anchor) and is_exact(self.image):
-            self.parts = (anchor.numerator, anchor.denominator,
-                          self.image.numerator, self.image.denominator)
 
 
 def _log_abs(q: Fraction) -> float:
@@ -364,28 +364,17 @@ def _orbit_land(dom: _Domain, x):
     """(g^k(x), k) for the k that lands x in the domain dom of g.
 
     Points already in the domain cost two comparisons, and near ones a
-    step or two; an exact point is compared on integer parts, a float
-    with the operators.  Past _WALK steps an exact affine orbit jumps to
-    the estimated power, lands within a step of the domain, and the walk
+    step or two.  Past _WALK steps an exact affine orbit jumps to the
+    estimated power, lands within a step of the domain, and the walk
     finishes.  Points above the domain step down first, and a walk that
     stepped up never steps down again: only float rounding could ask it to."""
     g, anchor, image, down, p = dom.g, dom.anchor, dom.image, dom.down, dom.fixed
-    parts = dom.parts
     k = walked = 0
     rose = False
     while True:
-        if parts is not None and (type(x) is Fraction or type(x) is int):
-            an, ad, bn, bd = parts
-            xn, xd = x.numerator, x.denominator
-            # x > anchor and x <= image, or x >= image and x < anchor
-            beyond = xn * ad > an * xd if down else xn * bd >= bn * xd
-            short = xn * bd <= bn * xd if down else xn * ad < an * xd
-        else:
-            beyond = (x > anchor) if down else (x >= image)
-            short = (x <= image) if down else (x < anchor)
-        if not rose and beyond:
+        if not rose and (lt(anchor, x) if down else le(image, x)):
             step = 1 if down else -1
-        elif short:
+        elif le(x, image) if down else lt(x, anchor):
             step, rose = (-1 if down else 1), True
         else:
             return x, k
@@ -432,7 +421,7 @@ def _orbit_carry(dom_in: _Domain, dom_out: _Domain, x, y, k, piece, inverse=Fals
     a = 1 / piece.slope if inverse else piece.slope
     c = (piece.inverse(p_in) if inverse else piece(p_in)) - p_out
     e, s_in, s_out = x - p_in, dom_in.g.slope, dom_out.g.slope
-    if s_in == s_out:
+    if eq(s_in, s_out):
         return p_out + a * e + c * e / (y - p_in)
     return p_out + a * (s_in / s_out) ** k * e + c * s_out ** -k
 
@@ -452,7 +441,7 @@ def _orbit_points(dom: _Domain, knots: tuple, lo, hi) -> list:
     for k in range(k_lo, k_hi + step, step):
         points = [_orbit_power(dom, y, -k) for y in knots]
         if k == k_lo or k == k_hi:
-            out.extend(x for x in points if lo < x < hi)
+            out.extend(x for x in points if inside(x, lo, hi))
         else:
             out.extend(points)
     return out
@@ -460,22 +449,13 @@ def _orbit_points(dom: _Domain, knots: tuple, lo, hi) -> list:
 
 def _exact_generator(g, fixed) -> bool:
     """g is an exact affine map with slope in (0, 1) fixing ``fixed``."""
-    return (isinstance(g, AffineMap) and 0 < g.slope < 1
-            and is_exact(fixed) and g(fixed) == fixed)
-
-
-def _within(x, lo, hi) -> bool:
-    """lo <= x <= hi, on the integer parts when all three are Fractions."""
-    if type(x) is Fraction and type(lo) is Fraction and type(hi) is Fraction:
-        xn, xd = x.numerator, x.denominator
-        return (lo.numerator * xd <= xn * lo.denominator
-                and xn * hi.denominator <= hi.numerator * xd)
-    return lo <= x <= hi
+    return (isinstance(g, AffineMap) and inside(g.slope, 0, 1)
+            and is_exact(fixed) and eq(g(fixed), fixed))
 
 
 def _in_range(x, lo, hi):
     """x itself when it lies in [lo, hi]; orbit maps never extrapolate."""
-    if not _within(x, lo, hi):
+    if not within(x, lo, hi):
         raise EvaluationRangeError(
             f"{format_scalar(x)} outside [{format_scalar(lo)}, {format_scalar(hi)}]")
     return x
@@ -483,7 +463,7 @@ def _in_range(x, lo, hi):
 
 def _preimage_in(w, x, lo, hi):
     """x, the preimage of w, when it lies in [lo, hi]."""
-    if not _within(x, lo, hi):
+    if not within(x, lo, hi):
         raise EvaluationRangeError(
             f"{format_scalar(w)} has no preimage inside "
             f"[{format_scalar(lo)}, {format_scalar(hi)}]")
@@ -538,16 +518,16 @@ class _OrbitMap:
                 if t is not None and t[2] is not None]
         if n < 2:
             raise MfError("orbit root needs order >= 2")
-        if g(u) != u:
+        if not eq(g(u), u):
             raise IncompatiblePatternError(
                 f"attracting end {format_scalar(u)} must be fixed")
-        top_fixed = g(v) == v
+        top_fixed = eq(g(v), v)
         if top_fixed:
             # both ends fixed: the orbit extension is onto, pins are moot
             floor_last, pins = None, ()
         if anchor is None:
-            anchor = (u + v) / 2 if top_fixed else v
-        if not u < anchor <= v or g(anchor) == anchor:
+            anchor = midpoint(u, v) if top_fixed else v
+        if not (lt(u, anchor) and le(anchor, v)) or eq(g(anchor), anchor):
             raise BadSeedError(f"anchor {format_scalar(anchor)} unusable")
         outer = _Domain(g, anchor)  # the seed domain [g(x0), x0]
         divs = _divisions(anchor, outer.image, n, seed.divisions,
@@ -561,7 +541,7 @@ class _OrbitMap:
             chain = compose_maps(seg, chain)
         # bottom piece [t_n, t_{n-1}] -> g([t_1, t_0]) via the chain inverse
         pieces.append((knots[n], knots[n - 1], compose_maps(g, chain.inverse_map())))
-        pieces.sort(key=lambda p: p[0])
+        pieces = ordered(pieces, key=lambda p: p[0])
         exact = _exact_generator(g, u) and all(map(is_exact, knots[:-1]))
         recipe = ("orbit_root", n, format_scalar(anchor), tuple(map(format_scalar, divs)))
         return cls("orbit root", INC, _SeedMap(pieces), outer, _Domain(g, knots[1]),
@@ -605,7 +585,7 @@ class _OrbitMap:
     @_memoized
     def __call__(self, x):
         for a, b in self.ends:
-            if x == a:
+            if eq(x, a):
                 return b
         if self.args is not None:
             _in_range(x, *self.args)
@@ -627,7 +607,7 @@ class _OrbitMap:
     @_memoized
     def breaks(self, lo, hi) -> tuple:
         fixed = self.ends[0][0]
-        if _within(fixed, lo, hi):
+        if within(fixed, lo, hi):
             raise NoExactProofError(
                 f"{self.name}: pieces accumulate at {format_scalar(fixed)}")
         # the ends of the seed's pieces, or of their images, along the orbit
@@ -636,14 +616,14 @@ class _OrbitMap:
 
     def limits(self, lo, hi) -> tuple:  # one comparison pair: cheaper than a lookup
         fixed = self.ends[0][0]
-        return (fixed,) if _within(fixed, lo, hi) else ()
+        return (fixed,) if within(fixed, lo, hi) else ()
 
     def germ(self, z, side) -> list:
         return [self]
 
     def generators(self, z):
         """(g_in, g_out) when z is the attracting point, else None."""
-        return (self.land.g, self.carry.g) if z == self.ends[0][0] else None
+        return (self.land.g, self.carry.g) if eq(z, self.ends[0][0]) else None
 
     def __repr__(self):
         return self.name
@@ -694,12 +674,12 @@ def _closed_form(g, n, lo, hi, cover=None, confine=None, floor_last=None,
     if floor_last is not None and not phi(floor_last) < g(hi):
         return None
     if cover is not None:
-        low, high = sorted(map(iterate_map(phi, cover[0]), (lo, hi)))
+        low, high = low_high(*map(iterate_map(phi, cover[0]), (lo, hi)))
         if ((cover[1] is not None and low > cover[1])
                 or (cover[2] is not None and high < cover[2])):
             return None
     if confine is not None:
-        low, high = sorted(map(iterate_map(phi, confine[0]), (lo, hi)))
+        low, high = low_high(*map(iterate_map(phi, confine[0]), (lo, hi)))
         if ((confine[1] is not None and low < confine[1])
                 or (confine[2] is not None and high > confine[2])):
             return None

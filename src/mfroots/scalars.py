@@ -5,10 +5,24 @@ normalized) or an inexact real (``float``).  Python's numeric tower gives
 the contagion rule for free: Fraction op Fraction stays Fraction, anything
 touching a float becomes a float, and mixed comparisons/hashes agree with
 exact values.
+
+Fraction's own comparison operators and ``min``, ``max``, ``sorted`` and
+``bisect`` over Fractions pay for a numeric-tower check on every
+comparison, and its arithmetic normalizes after every step.  So the
+library compares, orders and splits exact scalars through the helpers
+below, which read each one's integer ratio (``as_integer_ratio()``) and
+decide on integer cross-products, or build one Fraction from integers:
+``lt``, ``le`` and ``eq``; ``inside`` (an open interval) and ``within``
+(a closed one); ``smaller``, ``larger`` and ``low_high``; ``ordered``,
+``bisect_left`` and ``bisect_right``; ``midpoint``, ``thirds`` and
+``extrapolate``.  They give the operators' verdicts and the operators'
+canonical results; a float argument goes through the operators.
 """
 
 from __future__ import annotations
 
+import bisect as _bisect
+import math
 import re
 from fractions import Fraction
 from typing import Union
@@ -20,6 +34,177 @@ _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 def is_exact(x: Scalar) -> bool:
     return isinstance(x, (Fraction, int))
+
+
+# ---------------------------------------------------------------------------
+# exact comparison and splitting
+# ---------------------------------------------------------------------------
+
+def lt(x: Scalar, y: Scalar) -> bool:
+    """x < y."""
+    tx, ty = type(x), type(y)
+    if (tx is Fraction or tx is int) and (ty is Fraction or ty is int):
+        xn, xd = x.as_integer_ratio()
+        yn, yd = y.as_integer_ratio()
+        return xn * yd < yn * xd
+    return x < y
+
+
+def le(x: Scalar, y: Scalar) -> bool:
+    """x <= y."""
+    tx, ty = type(x), type(y)
+    if (tx is Fraction or tx is int) and (ty is Fraction or ty is int):
+        xn, xd = x.as_integer_ratio()
+        yn, yd = y.as_integer_ratio()
+        return xn * yd <= yn * xd
+    return x <= y
+
+
+def eq(x: Scalar, y: Scalar) -> bool:
+    """x == y: exact scalars are equal when their reduced ratios are."""
+    tx, ty = type(x), type(y)
+    if (tx is Fraction or tx is int) and (ty is Fraction or ty is int):
+        return x.as_integer_ratio() == y.as_integer_ratio()
+    return x == y
+
+
+def inside(x: Scalar, lo: Scalar, hi: Scalar) -> bool:
+    """lo < x < hi."""
+    tx, tl, th = type(x), type(lo), type(hi)
+    if ((tx is Fraction or tx is int) and (tl is Fraction or tl is int)
+            and (th is Fraction or th is int)):
+        xn, xd = x.as_integer_ratio()
+        ln, ld = lo.as_integer_ratio()
+        hn, hd = hi.as_integer_ratio()
+        return ln * xd < xn * ld and xn * hd < hn * xd
+    return lo < x < hi
+
+
+def within(x: Scalar, lo: Scalar, hi: Scalar) -> bool:
+    """lo <= x <= hi."""
+    tx, tl, th = type(x), type(lo), type(hi)
+    if ((tx is Fraction or tx is int) and (tl is Fraction or tl is int)
+            and (th is Fraction or th is int)):
+        xn, xd = x.as_integer_ratio()
+        ln, ld = lo.as_integer_ratio()
+        hn, hd = hi.as_integer_ratio()
+        return ln * xd <= xn * ld and xn * hd <= hn * xd
+    return lo <= x <= hi
+
+
+def smaller(x: Scalar, y: Scalar) -> Scalar:
+    """min(x, y): x on a tie."""
+    return y if lt(y, x) else x
+
+
+def larger(x: Scalar, y: Scalar) -> Scalar:
+    """max(x, y): x on a tie."""
+    return y if lt(x, y) else x
+
+
+def low_high(x: Scalar, y: Scalar) -> tuple:
+    """(min(x, y), max(x, y))."""
+    return (y, x) if lt(y, x) else (x, y)
+
+
+# the size in bits of the common denominator past which ``ordered`` takes
+# the operators.  Integer keys cost about the common denominator's size
+# each, which grows with every new denominator, while the operators cost
+# what each pair's own sizes cost.  Timed against ``sorted`` on n
+# Fractions with random odd denominators (CPython 3.11), the integer keys
+# break even near 1 000 bits at n = 16, 1 800 at n = 64 and 3 500 at
+# n = 256; the builds sort at most 17 keys with at most 25 bits in common
+_ORDERED_BITS = 1024
+
+
+def ordered(items, key=None) -> list:
+    """sorted(items, key=key) for a key that gives a scalar (the item
+    itself by default); stable.  Exact keys are put over their common
+    denominator and sorted as integers, unless that denominator grows past
+    ``_ORDERED_BITS``."""
+    items = list(items)
+    if len(items) < 2:
+        return items
+    ratios = []
+    common = 1
+    for k in (items if key is None else map(key, items)):
+        if type(k) is not Fraction and type(k) is not int:
+            return sorted(items, key=key)
+        n, d = k.as_integer_ratio()
+        common = math.lcm(common, d)
+        if common.bit_length() > _ORDERED_BITS:
+            return sorted(items, key=key)
+        ratios.append((n, d))
+    ints = [n * (common // d) for n, d in ratios]
+    return [items[i] for i in sorted(range(len(items)), key=ints.__getitem__)]
+
+
+def bisect_left(seq, x: Scalar) -> int:
+    """bisect.bisect_left(seq, x) for an increasing sequence of scalars."""
+    if type(x) is Fraction or type(x) is int:
+        xn, xd = x.as_integer_ratio()
+        lo, hi = 0, len(seq)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            a = seq[mid]
+            if type(a) is not Fraction and type(a) is not int:
+                return _bisect.bisect_left(seq, x)
+            an, ad = a.as_integer_ratio()
+            if an * xd < xn * ad:
+                lo = mid + 1
+            else:
+                hi = mid
+        return lo
+    return _bisect.bisect_left(seq, x)
+
+
+def bisect_right(seq, x: Scalar) -> int:
+    """bisect.bisect_right(seq, x) for an increasing sequence of scalars."""
+    if type(x) is Fraction or type(x) is int:
+        xn, xd = x.as_integer_ratio()
+        lo, hi = 0, len(seq)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            a = seq[mid]
+            if type(a) is not Fraction and type(a) is not int:
+                return _bisect.bisect_right(seq, x)
+            an, ad = a.as_integer_ratio()
+            if xn * ad < an * xd:
+                hi = mid
+            else:
+                lo = mid + 1
+        return lo
+    return _bisect.bisect_right(seq, x)
+
+
+def midpoint(x: Scalar, y: Scalar) -> Scalar:
+    """(x + y) / 2."""
+    if type(x) is Fraction and type(y) is Fraction:
+        xn, xd = x.as_integer_ratio()
+        yn, yd = y.as_integer_ratio()
+        return Fraction(xn * yd + yn * xd, 2 * xd * yd)
+    return (x + y) / 2
+
+
+def thirds(p: Scalar, q: Scalar) -> tuple:
+    """(p + (q − p)/3, q − (q − p)/3): the points a third of the way in
+    from each end."""
+    if type(p) is Fraction and type(q) is Fraction:
+        pn, pd = p.as_integer_ratio()
+        qn, qd = q.as_integer_ratio()
+        a, b, d = pn * qd, qn * pd, 3 * pd * qd
+        return Fraction(2 * a + b, d), Fraction(a + 2 * b, d)
+    third = (q - p) / 3
+    return p + third, q - third
+
+
+def extrapolate(w1: Scalar, w2: Scalar) -> Scalar:
+    """2·w1 − w2: the value one step past w1 on the line through w2 and w1."""
+    if type(w1) is Fraction and type(w2) is Fraction:
+        an, ad = w1.as_integer_ratio()
+        bn, bd = w2.as_integer_ratio()
+        return Fraction(2 * an * bd - bn * ad, ad * bd)
+    return 2 * w1 - w2
 
 
 def as_scalar(x) -> Scalar:

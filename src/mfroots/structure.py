@@ -10,7 +10,6 @@ invariant one after finitely many steps.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -25,7 +24,19 @@ from .errors import (
     StructureError,
 )
 from .maps import INC, AffineMap
-from .scalars import Scalar, as_scalar, format_scalar, is_exact
+from .scalars import (
+    Scalar,
+    as_scalar,
+    bisect_left,
+    bisect_right,
+    eq,
+    format_scalar,
+    inside,
+    is_exact,
+    low_high,
+    lt,
+    ordered,
+)
 
 
 def jump_set(F: Multifunction) -> Tuple[Scalar, ...]:
@@ -59,15 +70,14 @@ def transition_table(F: Multifunction) -> TransitionTable:
     his = [br.hi for br in F.branches]
     delta: Dict[int, int] = {}
     for i, br in enumerate(F.branches):
-        ends = (br.map(br.lo), br.map(br.hi))
-        img_lo, img_hi = min(ends), max(ends)
-        k = bisect.bisect_right(locs, img_lo)
-        if k < len(locs) and locs[k] < img_hi:
+        img_lo, img_hi = low_high(br.map(br.lo), br.map(br.hi))
+        k = bisect_right(locs, img_lo)
+        if k < len(locs) and lt(locs[k], img_hi):
             raise NoSingleTargetError(i, locs[k])
         # the first partition interval reaching img_hi holds the image iff
         # it starts at or below img_lo
-        j = bisect.bisect_left(his, img_hi)
-        if j == len(his) or los[j] > img_lo:
+        j = bisect_left(his, img_hi)
+        if j == len(his) or lt(img_lo, los[j]):
             raise StructureError(
                 f"image ({format_scalar(img_lo)}, {format_scalar(img_hi)}) of "
                 f"interval {i} not contained in any partition interval")
@@ -169,14 +179,14 @@ def _branch_fixed_points(F: Multifunction, samples: int = 256):
     out = []
     for br in F.branches:
         if isinstance(br.map, AffineMap):
-            if br.map.slope == 1:
-                if br.map.intercept == 0:
+            if eq(br.map.slope, 1):
+                if br.map.is_identity:
                     raise MfError(
                         f"identity branch on ({format_scalar(br.lo)}, "
                         f"{format_scalar(br.hi)}) has a continuum of fixed points")
                 continue
             x = br.map.fixed_point()
-            if x is not None and br.lo < x < br.hi:
+            if x is not None and inside(x, br.lo, br.hi):
                 out.append((x, True))
         else:
             lo, hi = br.lo, br.hi
@@ -208,10 +218,9 @@ def inclusion_fixed_points(F: Multifunction):
     pts = list(_branch_fixed_points(F))
     a, b = F.domain.lo, F.domain.hi
     for jp in F.jumps:
-        if a < jp.location < b and jp.value.contains(jp.location):
+        if inside(jp.location, a, b) and jp.value.contains(jp.location):
             pts.append((jp.location, is_exact(jp.location)))
-    pts.sort(key=lambda pe: pe[0])
-    return [(p, e) for (p, e) in pts if a < p < b]
+    return [(p, e) for (p, e) in ordered(pts, key=lambda pe: pe[0]) if inside(p, a, b)]
 
 
 @dataclass(frozen=True)
@@ -268,12 +277,12 @@ def _below_diagonal(F: Multifunction) -> Optional[Scalar]:
                     return x
     for jp in F.jumps:
         c = jp.location
-        if c == a:
+        if eq(c, a):
             return a  # a multivalued left endpoint already violates F(a) = {a}
-        if c == b:
-            if jp.value.max_value > b:
+        if eq(c, b):
+            if lt(b, jp.value.max_value):
                 return b
-        elif not jp.value.max_value < c:
+        elif not lt(jp.value.max_value, c):
             return c
     return None
 
@@ -319,8 +328,8 @@ def classify_jump(F: Multifunction, c: Scalar) -> JumpClass:
         raise NotAJumpError(f"{format_scalar(c)} is not a jump")
     locs = F.jump_locations
     hit = tuple(d for comp in jp.value.components
-                for d in locs[bisect.bisect_left(locs, comp.lo):
-                              bisect.bisect_right(locs, comp.hi)])
+                for d in locs[bisect_left(locs, comp.lo):
+                              bisect_right(locs, comp.hi)])
     self_hit = c in hit
     others = tuple(d for d in hit if d != c)
     if not hit:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mfroots as mf
+from mfroots import builder, maps
 from mfroots.builder import (
     Certificate,
     RootArtifact,
@@ -41,7 +42,9 @@ from conftest import (
     j4_root,
     j4_target,
     noncompact_value,
+    random_dec_selfpair_target,
     random_direct_routed,
+    random_reversing_pair_target,
     square_root_mf,
     square_target,
     tail_jump_target,
@@ -379,3 +382,71 @@ class TestRoundTripProperty:
         rep = outcome.verification
         assert rep.passed and (rep.exact or rep.max_deviation <= 1e-9)
         assert outcome.realized.validate().ok
+
+
+class CountingCache:
+    """Stands for ``maps._EVALUATIONS`` and counts the caches opened."""
+
+    def __init__(self, var):
+        self.var, self.opened = var, 0
+
+    def get(self):
+        return self.var.get()
+
+    def set(self, memo):
+        self.opened += 1
+        return self.var.set(memo)
+
+    def reset(self, token):
+        self.var.reset(token)
+
+
+class TestOneCachePerBuild:
+    """A build opens the evaluation cache once: its construction's probes
+    and ``_finish``'s proof read one memo, which is dropped when the build
+    returns or raises."""
+
+    def watch(self, monkeypatch, names):
+        counter = CountingCache(maps._EVALUATIONS)
+        monkeypatch.setattr(maps, "_EVALUATIONS", counter)
+        seen = []
+        for name in names:
+            def spied(*args, real=getattr(builder, name), name=name, **kwargs):
+                seen.append((name, counter.get()))
+                return real(*args, **kwargs)
+            monkeypatch.setattr(builder, name, spied)
+        return counter, seen
+
+    @pytest.mark.parametrize("kind", ["square", "odd"])
+    def test_decreasing_builds(self, kind, monkeypatch):
+        probes = ("_realize_decreasing", "_end_orbit_hit", "_finish", "verify_root")
+        counter, seen = self.watch(monkeypatch, probes)
+        if kind == "square":
+            art = build_decreasing_square_root(random_reversing_pair_target(random.Random(0)))
+        else:
+            art = build_decreasing_odd_root(random_dec_selfpair_target(random.Random(0)), 3)
+        assert art.verification.passed and art.verification.exact
+        assert {name for name, _ in seen} == set(probes)
+        memo = seen[0][1]
+        assert memo and all(m is memo for _, m in seen)
+        assert counter.opened == 1 and maps._EVALUATIONS.get() is None
+
+    def test_increasing_build(self, monkeypatch):
+        probes = ("_build_piece_increasing", "_finish", "verify_root")
+        counter, seen = self.watch(monkeypatch, probes)
+        assert build_increasing_root(absorbing_target(), 3).verification.exact
+        assert [name for name, _ in seen] == list(probes)
+        assert seen[0][1] is not None and all(m is seen[0][1] for _, m in seen)
+        assert counter.opened == 1 and maps._EVALUATIONS.get() is None
+
+    def test_dropped_when_the_build_raises(self, monkeypatch):
+        counter, seen = self.watch(monkeypatch, ("_end_orbit_hit",))
+
+        def failing(f, F, n):
+            assert maps._EVALUATIONS.get() is seen[0][1]
+            raise mf.errors.MfError("verification failed")
+
+        monkeypatch.setattr(builder, "verify_root", failing)
+        with pytest.raises(mf.errors.MfError, match="verification failed"):
+            build_decreasing_square_root(random_reversing_pair_target(random.Random(0)))
+        assert counter.opened == 1 and maps._EVALUATIONS.get() is None

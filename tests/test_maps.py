@@ -106,6 +106,17 @@ class TestKernel:
         same(m.slope, slope)
         same(m.intercept, y1 - slope * x1)
 
+    @given(fractions, fractions)
+    @example(Q(1), Q(1, 5))
+    @example(Q(1), Q(0))
+    def test_fixed_point_and_identity(self, s, t):
+        m = AffineMap(s, t)
+        if s == 1:
+            assert m.fixed_point() is None
+        else:
+            same(m.fixed_point(), t / (1 - s))
+        assert m.is_identity is (s == 1 and t == 0)
+
     def test_integer_parts_of_any_size(self):
         assert AffineMap(Q(-3, 7), Q(1, 5))._ints == (-3, 7, 1, 5)
         assert AffineMap(Q(BOUND ** 2, 3), Q(1, BOUND))._ints == (BOUND ** 2, 3, 1, BOUND)
