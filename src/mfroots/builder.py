@@ -24,6 +24,7 @@ from .core import (
     JumpPoint,
     Multifunction,
     ValueSet,
+    _prove_root,
     equivalent,
     iterate,
     prove_equivalent,
@@ -143,21 +144,29 @@ def verify_root(f: Multifunction, F: Multifunction, n: int,
                 cfg: EquivalenceConfig = EquivalenceConfig()) -> VerificationReport:
     """Check fⁿ = F in the identity sense (set-image composition).
 
-    Exact inputs compare structurally.  Otherwise fⁿ = F is proved or
-    disproved in exact arithmetic through the witnesses of f's lazy maps
-    (``core.prove_equivalent``), which every root built over rational
-    affine data carries.  Only when some map has none, as for an opaque
-    user map, does the check fall back to the grid, and the report's
-    detail names that map."""
-    fn = iterate(f, n)
-    if fn.is_exact and F.is_exact:
-        eq = equivalent(fn, F, cfg)
-    else:
-        try:
-            eq = prove_equivalent(fn, F)
-        except NoExactProofError as exc:
+    A root whose lazy maps carry witnesses, checked against an exact F, is
+    proved in one walk over F's partition (``core._prove_root``): iterating
+    only adds jumps, J(f) ⊆ J(fⁿ), so when fⁿ = F each branch of F lies in
+    a branch of f.  Each is carried through f n times, and the chain of
+    branch maps it meets is proved equal to F's map there, without
+    composing fⁿ.  When that walk does not go through, and for the inputs
+    it does not take, fⁿ is composed: exact inputs compare structurally;
+    otherwise fⁿ = F is proved or disproved in exact arithmetic through the
+    witnesses of f's lazy maps (``core.prove_equivalent``).  Only when some
+    map has none, as for an opaque user map, does the check fall back to
+    the grid, and the report's detail names that map.  The report is the
+    same either way."""
+    eq = _prove_root(f, F, n)
+    if eq is None:
+        fn = iterate(f, n)
+        if fn.is_exact and F.is_exact:
             eq = equivalent(fn, F, cfg)
-            eq = dataclasses.replace(eq, reason=f"{eq.reason} ({exc})")
+        else:
+            try:
+                eq = prove_equivalent(fn, F)
+            except NoExactProofError as exc:
+                eq = equivalent(fn, F, cfg)
+                eq = dataclasses.replace(eq, reason=f"{eq.reason} ({exc})")
     return VerificationReport(eq.equal, eq.exact, eq.max_deviation,
                               eq.worst_point, eq.reason)
 
@@ -262,14 +271,21 @@ def _finish(F: Multifunction, realized: Multifunction, n: int,
             pipeline: str, orientation: str,
             payload: Dict[str, object]) -> RootArtifact:
     """Validate a constructed root, verify fⁿ = F and attach its recipe.
-    Both steps ask the root's lazy maps at many of the same points, so
-    they share one evaluation cache: the build's, which the cache is
-    re-entrant to join, or one of its own when called alone, dropped on
-    return."""
+
+    The walk of the verification (``core._prove_root``) proves the root
+    valid too: it runs validation's structural checks and reads each
+    branch map's monotonicity from the points of its proof, so a root it
+    proves is not validated again, and ``verify_root`` reads the walk's
+    report from the evaluation cache.  A root it does not prove is
+    validated in full before ``verify_root`` composes fⁿ, as before, so
+    a failure reads the same.  Everything runs in one evaluation cache:
+    the build's, which the cache is re-entrant to join, or one of its own
+    when called alone, dropped on return."""
     with evaluation_cache():
-        report = realized.validate()
-        if not report.ok:
-            raise MfError(f"constructed root fails validation: {report.summary()}")
+        if _prove_root(realized, F, n) is None:
+            report = realized.validate()
+            if not report.ok:
+                raise MfError(f"constructed root fails validation: {report.summary()}")
         verification = verify_root(realized, F, n)
     if not verification.passed:
         raise MfError(f"constructed root fails verification: {verification}")

@@ -35,6 +35,7 @@ from .maps import (
     Orientation,
     compose_maps,
     map_is_exact_rational,
+    memoized_call,
     reflect_map,
 )
 from .scalars import (
@@ -505,14 +506,15 @@ class Multifunction:
     def validate(self) -> ValidationReport:
         """Check the class membership invariants; empty report = valid.
 
-        A generic branch map is proved strictly monotone through its
-        witness (``_prove_monotone``).  One without a witness, or whose
-        proof fails to evaluate, is sampled at 64 points instead, as
-        before, and the report lists it in ``sampled``."""
-        tol = 0.0 if self.is_exact else 1e-9
+        Two halves: each branch map's orientation and strict monotonicity,
+        then the structural checks (``_structure_violations``).  A generic
+        branch map is proved strictly monotone through its witness
+        (``_prove_monotone``).  One without a witness, or whose proof fails
+        to evaluate, is sampled at 64 points instead, as before, and the
+        report lists it in ``sampled``.  A built root is usually proved
+        valid by the walk of its verification instead (``_prove_root``)."""
         out: List[Violation] = []
         sampled: List[Scalar] = []
-        a, b = self.domain.lo, self.domain.hi
         inc = self.orientation is INC
 
         for br in self.branches:
@@ -528,6 +530,17 @@ class Multifunction:
                 if bad is not None:
                     out.append(Violation("monotonicity", bad,
                                          "branch not strictly monotone"))
+        out.extend(self._structure_violations())
+        return ValidationReport(tuple(out), tuple(sampled))
+
+    def _structure_violations(self) -> List[Violation]:
+        """``validate``'s checks beyond the branch maps themselves: usc at
+        each jump, the order of the values across consecutive pieces, and
+        the range."""
+        tol = 0.0 if self.is_exact else 1e-9
+        out: List[Violation] = []
+        a, b = self.domain.lo, self.domain.hi
+        inc = self.orientation is INC
 
         for jp in self.jumps:
             c, V = jp.location, jp.value
@@ -576,7 +589,7 @@ class Multifunction:
                         _tol_close(v, a, tol) or _tol_close(v, b, tol)):
                     out.append(Violation("range", where,
                                          f"value {format_scalar(v)} escapes {self.domain}"))
-        return ValidationReport(tuple(out), tuple(sampled))
+        return out
 
     def _ordered_pieces(self):
         # a jump at c precedes the branch opening at c: the jumps come
@@ -852,13 +865,12 @@ def _reduce_at(W, e, side, x0):
     raise NoExactProofError(f"no neighbourhood of {format_scalar(e)} fits the glue pieces")
 
 
-def _witness_pieces(W, u, v, limits):
-    """(cells, pieces) of W's witness on [u, v]: the cells are u, v and
-    the points ``limits`` of [u, v] where W's pieces accumulate; near each
-    of those, equivariance settles W on the neighbourhood from one
-    fundamental domain (``_reduce_at``), and the rest of [u, v] splits at
-    W's breaks into the pieces (p, q), in increasing order, open intervals
-    on each of which W is affine."""
+def _witness_spans(W, u, v, limits):
+    """(cells, spans): the cells are u, v and the points ``limits`` of
+    [u, v] where W's pieces accumulate; spans[i] is the part of
+    [cells[i], cells[i + 1]] left once the neighbourhoods of the cells in
+    ``limits``, which equivariance settles from one fundamental domain
+    (``_reduce_at``), are taken off."""
     cells = ordered({u, v, *limits})
     spans = []
     for a, b in zip(cells, cells[1:]):
@@ -868,11 +880,23 @@ def _witness_pieces(W, u, v, limits):
         else:
             spans.append((_reduce_at(W, a, 1, b) if a in limits else a,
                           _reduce_at(W, b, -1, a) if b in limits else b))
-    pieces = []
-    for lo, hi in spans:
-        ends = (lo, *W.breaks(lo, hi), hi)
-        pieces.extend(zip(ends, ends[1:]))
-    return cells, pieces
+    return cells, spans
+
+
+def _span_pieces(W, lo, hi) -> list:
+    """[lo, hi] split at W's breaks: the pieces (p, q), in increasing
+    order, open intervals on each of which W is affine."""
+    ends = (lo, *W.breaks(lo, hi), hi)
+    return list(zip(ends, ends[1:]))
+
+
+def _witness_pieces(W, u, v, limits):
+    """(cells, pieces) of W's witness on [u, v]: the cells of
+    ``_witness_spans``, and its spans split at W's breaks into the pieces
+    (p, q), in increasing order, open intervals on each of which W is
+    affine."""
+    cells, spans = _witness_spans(W, u, v, limits)
+    return cells, [piece for lo, hi in spans for piece in _span_pieces(W, lo, hi)]
 
 
 def _piece_points(cells, pieces):
@@ -935,7 +959,15 @@ def _prove_monotone(W, u, v, inc: bool):
     fixed point of g', bounds the values there once it bounds the domain's."""
     cells, pieces = _witness_pieces(W, u, v, W.limits(u, v))
     points, at = _piece_points(cells, pieces)
-    w = [_exact_value(W, x) for x in points]  # every value before any verdict
+    # every value before any verdict
+    return _monotone_verdict(points, at, [_exact_value(W, x) for x in points], inc)
+
+
+def _monotone_verdict(points, at, w, inc: bool):
+    """``_prove_monotone``'s test of the values w of a map at ``points``
+    (``_piece_points``; the pieces open at the indices ``at``): None when
+    they prove it strictly increasing (``inc``) or decreasing, else the
+    first point where they do not."""
     # W(x+) at each piece's lower end and W(x−) at its upper end, taken
     # from the piece; once its slope has the right sign, the values at its
     # inner points lie strictly between these two
@@ -1023,3 +1055,139 @@ def prove_equivalent(F: Multifunction, G: Multifunction) -> EquivalenceReport:
         total += pieces
     return EquivalenceReport(True, True, 0.0, None,
                              f"exact proof over {total} affine pieces")
+
+
+# ---------------------------------------------------------------------------
+# one proof walk per built root
+# ---------------------------------------------------------------------------
+
+def _prove_root(f: Multifunction, F: Multifunction, n: int) -> Optional[EquivalenceReport]:
+    """The report of ``prove_equivalent(iterate(f, n), F)`` when f is valid
+    and fⁿ = F, proved by ``_root_walk`` without composing fⁿ; None when
+    the walk does not go through.  Inside an evaluation cache the answer
+    is kept for the next call with the same f, F and n."""
+    return memoized_call(_root_walk, f, F, n)
+
+
+def _root_walk(f: Multifunction, F: Multifunction, n: int) -> Optional[EquivalenceReport]:
+    """Proof that f is valid and that fⁿ = F, in one walk per branch of F:
+    a passing report, or None when a step fails or does not apply.
+
+    Iterating only adds jumps, J(f) ⊆ J(fⁿ), so when fⁿ = F each branch
+    (u, v) of F lies in one branch of f, and F's partition is fⁿ's.  For
+    each branch (u, v) of F:
+
+    1. route (``_route``): (u, v) is carried through f n times, each image
+       by the branch of f whose closure holds it; an f-jump strictly inside
+       an image would be a jump of fⁿ that F does not have;
+    2. equality: the chain of the n branch maps, composed as ``iterate``
+       composes them, equals F's affine map at the points of its witness
+       pieces, exactly as ``_prove_branch`` proves it, so the report counts
+       the same pieces;
+    3. monotonicity: the chain's first map is f's branch map on (u, v).  The
+       chain's pieces lie inside its affine pieces and the chain's cells
+       hold the points where it accumulates, so its values at the chain's
+       points, taken on the way, feed ``_monotone_verdict``.  Where the
+       chain stops short of a cell, equivariance settles the neighbourhood
+       it leaves out (``_reduce_at``); that covers this map only when an
+       orbit map of its own accumulates there, so a root where the map is
+       affine near such a cell is left to ``validate``.  The values at u
+       and v are in the test, so the walks on the two sides of a jump of F
+       inside a branch of f meet in the one value there, and their
+       one-sided values close the order across it.
+
+    At each jump c of F, n − 1 set images through f of f(c) must give F(c),
+    and an end of the domain where F does not jump must, with its orbit,
+    miss f's jumps (``_route``): then fⁿ has F's jumps.  f must pass
+    ``validate``'s structural checks, on which ``compose``'s set images
+    rely.  Roots whose branch maps are all affine, inexact targets and maps
+    without a witness are left to ``iterate`` and ``prove_equivalent`` or
+    ``equivalent``."""
+    try:
+        if (n < 1 or all(map_is_exact_rational(br.map) for br in f.branches)
+                or not F.is_exact or f.domain != F.domain
+                or (f.orientation if n % 2 else INC) is not F.orientation
+                or any(br.map.orientation is not f.orientation for br in f.branches)
+                or f._structure_violations()):
+            return None
+        for jp in F.jumps:
+            V = f(jp.location)
+            for _ in range(n - 1):
+                V = f.image(V)
+            if not V.is_exact or V != jp.value:
+                return None
+        a, b = f.domain.lo, f.domain.hi
+        total = 0
+        for bg in F.branches:
+            pieces = _walk_branch(f, bg, n, eq(bg.lo, a) and F.includes_left_endpoint,
+                                  eq(bg.hi, b) and F.includes_right_endpoint)
+            if pieces is None:
+                return None
+            total += pieces
+    except MfError:
+        return None
+    return EquivalenceReport(True, True, 0.0, None, f"exact proof over {total} affine pieces")
+
+
+def _walk_branch(f: Multifunction, bg: Branch, n: int, free_lo: bool, free_hi: bool):
+    """Steps 1 to 3 of ``_root_walk`` on the branch bg of F: the number of
+    affine pieces the chain is proved equal to F's map over, or None.
+    ``free_lo`` and ``free_hi`` say whether bg's ends are domain ends where
+    F does not jump."""
+    maps = _route(f, bg.lo, bg.hi, n, free_lo, free_hi)
+    if maps is None:
+        return None
+    first, rest = maps[0], maps[1:]
+    W = maps[-1]
+    for m in maps[-2::-1]:
+        W = compose_maps(W, m)
+    cells, spans = _witness_spans(W, bg.lo, bg.hi, W.limits(bg.lo, bg.hi))
+    pieces = [piece for lo, hi in spans for piece in _span_pieces(W, lo, hi)]
+    points, at = _piece_points(cells, pieces)
+    A = _as_affine(bg.map)
+    w = []  # first's values
+    for x in points:
+        y = first(x)
+        w.append(y)
+        for m in rest:
+            y = m(y)
+        if not (is_exact(y) and eq(y, A(x))):
+            return None
+    if not isinstance(first, AffineMap):
+        # a gap where first is affine is refused; the census, the odd
+        # census and roots seeds 29 and 41 show 998 gaps, each at an
+        # orbit map of first's own, and none of that kind
+        for c, d, (lo, hi) in zip(cells, cells[1:], spans):
+            if ((not eq(lo, c) and _affine_germ(first, c, 1))
+                    or (not eq(hi, d) and _affine_germ(first, d, -1))):
+                return None
+        if _monotone_verdict(points, at, w, f.orientation is INC) is not None:
+            return None
+    return len(pieces)
+
+
+def _route(f: Multifunction, u, v, n: int, free_lo: bool, free_hi: bool):
+    """The branch maps of f that carry (u, v) on n times, first one first;
+    None when an f-jump lies strictly inside one of the images, or when the
+    orbit of u (``free_lo``) or of v (``free_hi``), which must miss f's
+    jumps, meets one.  Each image's ends are the branch map's values at the
+    ends of the one before, so the orbits of u and v come on the way."""
+    maps = []
+    x, y = u, v
+    for _ in range(n):
+        lo, hi = low_high(x, y)
+        i = bisect_right(f._branch_los, lo) - 1
+        if i < 0 or lt(f._branch_his[i], hi):
+            return None
+        if (free_lo and f.jump_at(x) is not None) or (free_hi and f.jump_at(y) is not None):
+            return None
+        m = f.branches[i].map
+        maps.append(m)
+        x, y = m(x), m(y)
+    return maps
+
+
+def _affine_germ(W, z, side) -> bool:
+    """Whether W's germ at z on ``side`` holds no orbit map, so that no
+    equivariance settles W near z."""
+    return all(isinstance(it, (Guard, AffineMap)) for it in W.germ(z, side))

@@ -243,8 +243,9 @@ MonotoneMap = object  # duck type: AffineMap | GenericMap | ComposedMap | GluedM
 
 # while a cache is open: (id of a map, method, then each argument's type,
 # numerator and denominator) -> (the map, result), for a point's value and
-# for a span's pieces.  An entry keeps its map alive, so no other object
-# takes the id while the key stands
+# for a span's pieces; and (a function, then the id of each argument) ->
+# (the arguments, result) for ``memoized_call``.  An entry keeps its
+# objects alive, so no other object takes an id while the key stands
 _EVALUATIONS: ContextVar[Optional[dict]] = ContextVar("mfroots_evaluations",
                                                       default=None)
 
@@ -253,9 +254,10 @@ _EVALUATIONS: ContextVar[Optional[dict]] = ContextVar("mfroots_evaluations",
 def evaluation_cache():
     """Memoize, inside the block, the exact evaluations of the lazy orbit
     maps (both directions of each ``scalar_roots._OrbitMap``) and of the
-    composed and glued lazy maps, and the pieces of orbit, composed and
-    glued maps on each span: a proof asks the same maps at the same points
-    and on the same spans again and again.  The cache is re-entrant: a
+    glued lazy maps, and the pieces of orbit and glued maps on each span:
+    a proof asks the same maps at the same points and on the same spans
+    again and again.  A composed chain is built per proof and asked once,
+    so its pieces are not kept.  The cache is re-entrant: a
     block opened inside another joins the open memo, so each build opens
     it once and its construction's probes and its proof share it.  The
     memo is dropped when the outermost block ends, also when it raises."""
@@ -267,6 +269,19 @@ def evaluation_cache():
         yield
     finally:
         _EVALUATIONS.reset(token)
+
+
+def memoized_call(fn, *args):
+    """``fn(*args)``, looked up in the open evaluation cache by ``fn`` and
+    the identity of each argument; called plainly when no cache is open."""
+    memo = _EVALUATIONS.get()
+    if memo is None:
+        return fn(*args)
+    key = (fn, *map(id, args))
+    entry = memo.get(key)
+    if entry is None:
+        entry = memo[key] = (args, fn(*args))
+    return entry[1]
 
 
 def _memoized(method):
@@ -413,7 +428,6 @@ class ComposedMap:
     def inverse_map(self):
         return ComposedMap(tuple(m.inverse_map() for m in reversed(self.maps)))
 
-    @_memoized
     def breaks(self, lo, hi) -> tuple:
         """Carried forward map by map: the chain applied so far is affine
         on each open segment between the cuts found so far, so the next
@@ -449,7 +463,6 @@ class ComposedMap:
             segments = split
         return tuple(p for p, _, _ in segments[1:])
 
-    @_memoized
     def limits(self, lo, hi) -> tuple:
         """Each map's accumulation points on the image of [lo, hi] that
         reaches it, pulled back through the inverses and checked going
