@@ -28,6 +28,7 @@ from .errors import (
     StructureError,
 )
 from .maps import (
+    _IDENTITY,
     AffineMap,
     Guard,
     INC,
@@ -806,17 +807,18 @@ def _as_affine(m) -> AffineMap:
     return m if isinstance(m, AffineMap) else compose_maps(*m.maps)
 
 
-def _guards_hold(items, e, x0) -> bool:
+def _guards_hold(items, zs, x0) -> bool:
     """Whether the image of the neighbourhood between e and x0 stays inside
-    one piece of every glued map the germ passes."""
-    z, x = e, x0
-    for it in items:
+    one piece of every glued map the germ passes; zs[i] is the image of e
+    that reaches items[i]."""
+    x = x0
+    for it, z in zip(items, zs):
         if isinstance(it, Guard):
             lo, hi = low_high(z, x)
             if any(inside(k, lo, hi) for k in it.knots):
                 return False
         else:
-            z, x = it(z), it(x)
+            x = it(x)
     return True
 
 
@@ -832,34 +834,40 @@ def _reduce_at(W, e, side, x0):
     fundamental domain [g0(x0'), x0'], so W = A there and at e gives
     W = A on all of it once A∘g0 = g'∘A.  That needs no check of its own:
     g' and A∘g0∘A⁻¹ are affine maps that both fix A(e) = W(e) and both
-    send A(x0') = W(x0') to A(g0(x0')) = W(g0(x0')), so they are equal."""
+    send A(x0') = W(x0') to A(g0(x0')) = W(g0(x0')), so they are equal.
+
+    The affine items between two orbit maps fold into one map a, so the
+    generator is handed on as a∘g∘a⁻¹ once per orbit map."""
     items = W.germ(e, side)
-    prefix, g0, g = AffineMap(Fraction(1), Fraction(0)), None, None
+    # the affine items since the last orbit map, or since the germ's start
+    a, g0, g = _IDENTITY, None, None
     z = e
+    zs = []  # the image of e that reaches each item
     for it in items:
+        zs.append(z)
         if isinstance(it, Guard):
             continue
         if isinstance(it, AffineMap):
-            if g is None:
-                prefix = it.after(prefix)
-            else:
-                g = compose_maps(it, g, it.inverse_map())
+            a = it.after(a)
         else:
             gens = it.generators(z)
             if gens is None:
                 raise NoExactProofError(
                     f"{it!r} is used near {format_scalar(z)}, away from its attracting point")
             if g is None:
-                g0 = compose_maps(prefix.inverse_map(), gens[0], prefix)
-            elif g != gens[0]:
-                raise NoExactProofError(f"{it!r}: its generator {gens[0]!r} does not "
-                                        f"match the one handed on, {g!r}")
-            g = gens[1]
+                g0 = compose_maps(a.inverse_map(), gens[0], a)
+            else:
+                if a is not _IDENTITY:
+                    g = compose_maps(a, g, a.inverse_map())
+                if g != gens[0]:
+                    raise NoExactProofError(f"{it!r}: its generator {gens[0]!r} does not "
+                                            f"match the one handed on, {g!r}")
+            a, g = _IDENTITY, gens[1]
         z = it(z)
     if g is None:
         return e
     for _ in range(_MAX_HALVINGS):
-        if _guards_hold(items, e, x0):
+        if _guards_hold(items, zs, x0):
             return g0(x0)
         x0 = midpoint(e, x0)
     raise NoExactProofError(f"no neighbourhood of {format_scalar(e)} fits the glue pieces")

@@ -3,7 +3,10 @@
 Two kinds: exact affine maps over rationals, and generic lazily-evaluated
 maps (root/conjugacy constructions, glues, opaque user maps).  Every map
 answers forward evaluation, inverse evaluation and orientation; generic
-maps additionally promise pure evaluation (same input, same output).
+maps additionally promise pure evaluation (same input, same output).  An
+affine map holds its coefficients as reduced integer parts and builds
+its compositions, inverses and fits from them, making the coefficients'
+Fractions only when they are read.
 Compositions hold the lazy orbit maps themselves, not the generic maps
 that present them (``compose_maps``).
 
@@ -26,8 +29,9 @@ import contextlib
 import enum
 import functools
 from contextvars import ContextVar
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 from fractions import Fraction
+from math import gcd
 from typing import Callable, Optional, Tuple
 
 from .errors import NoExactProofError, StructureError
@@ -63,10 +67,10 @@ INC = Orientation.INC
 DEC = Orientation.DEC
 
 
-# AffineMap evaluates on its coefficients' integer parts and the
-# argument's integer ratio (``as_integer_ratio()``, as the comparison
-# helpers of ``scalars`` read it), and builds each result with one
-# Fraction(num, den), where Fraction's operators normalize after every
+# AffineMap evaluates and inverts on its state, the coefficients' integer
+# parts, and the argument's integer ratio (``as_integer_ratio()``, as the
+# comparison helpers of ``scalars`` read it), and builds each result with
+# one Fraction(num, den), where Fraction's operators normalize after every
 # step.  One normalization costs O(bits²) in the argument, while the
 # operators take gcds only against the small coefficients, so an argument
 # whose denominator reaches this bound takes the operators.  Measured on
@@ -77,29 +81,75 @@ DEC = Orientation.DEC
 _KERNEL_BOUND = 1 << 320
 
 
-@dataclass(frozen=True)
 class AffineMap:
     """x ↦ slope·x + intercept with exact rational coefficients.
 
-    Calls, inverses and compositions are computed on the coefficients'
-    numerators and denominators; every result is the same canonical
-    Fraction (or float) that the Fraction operators give."""
+    Its state is the coefficients' reduced integer parts ``_ints`` =
+    (slope num, slope den, intercept num, intercept den), denominators
+    positive.  Calls, inverses and compositions are computed on them, and
+    a map built from another is reduced with one gcd per coefficient; the
+    Fractions ``slope`` and ``intercept`` are made when first read.  Every
+    result is the same canonical Fraction (or float) that the Fraction
+    operators give.  Immutable; equal maps have equal coefficients."""
 
-    slope: Fraction
-    intercept: Fraction
-    # (slope num, slope den, intercept num, intercept den)
-    _ints: Tuple[int, int, int, int] = field(init=False, repr=False, compare=False)
+    __slots__ = ("_ints", "_slope", "_intercept")
 
-    def __post_init__(self):
+    def __init__(self, slope, intercept):
         # a Fraction is kept as it is: re-wrapping one costs a Rational check
-        if type(self.slope) is not Fraction:
-            object.__setattr__(self, "slope", Fraction(self.slope))
-        if type(self.intercept) is not Fraction:
-            object.__setattr__(self, "intercept", Fraction(self.intercept))
-        ints = (*self.slope.as_integer_ratio(), *self.intercept.as_integer_ratio())
+        if type(slope) is not Fraction:
+            slope = Fraction(slope)
+        if type(intercept) is not Fraction:
+            intercept = Fraction(intercept)
+        ints = (*slope.as_integer_ratio(), *intercept.as_integer_ratio())
         if not ints[0]:
             raise StructureError("affine map must have nonzero slope")
-        object.__setattr__(self, "_ints", ints)
+        _set_ints(self, ints)
+        _set_slope(self, slope)
+        _set_intercept(self, intercept)
+
+    @classmethod
+    def _reduced(cls, sn, sd, tn, td) -> "AffineMap":
+        """The map with slope sn/sd and intercept tn/td, for sn != 0 and
+        positive denominators, each pair reduced by one gcd."""
+        m = object.__new__(cls)
+        g, h = gcd(sn, sd), gcd(tn, td)
+        _set_ints(m, (sn // g, sd // g, tn // h, td // h))
+        _set_slope(m, None)
+        _set_intercept(m, None)
+        return m
+
+    @property
+    def slope(self) -> Fraction:
+        s = self._slope
+        if s is None:
+            s = Fraction(self._ints[0], self._ints[1])
+            _set_slope(self, s)
+        return s
+
+    @property
+    def intercept(self) -> Fraction:
+        t = self._intercept
+        if t is None:
+            t = Fraction(self._ints[2], self._ints[3])
+            _set_intercept(self, t)
+        return t
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._ints == other._ints
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.slope, self.intercept))
+
+    def __reduce__(self):
+        return AffineMap, (self.slope, self.intercept)
 
     @property
     def orientation(self) -> Orientation:
@@ -127,24 +177,27 @@ class AffineMap:
 
     def inverse_map(self) -> "AffineMap":
         sn, sd, tn, td = self._ints
-        return AffineMap(Fraction(sd, sn), Fraction(-tn * sd, td * sn))
+        if sn < 0:
+            return AffineMap._reduced(-sd, -sn, tn * sd, -td * sn)
+        return AffineMap._reduced(sd, sn, -tn * sd, td * sn)
 
     def after(self, inner: "AffineMap") -> "AffineMap":
         """self ∘ inner: x ↦ self(inner(x))."""
         sn, sd, tn, td = self._ints
         un, ud, vn, vd = inner._ints
-        return AffineMap(Fraction(sn * un, sd * ud),
-                         Fraction(sn * vn * td + tn * sd * vd, sd * vd * td))
+        return AffineMap._reduced(sn * un, sd * ud, sn * vn * td + tn * sd * vd, sd * vd * td)
 
     @classmethod
     def through(cls, x1, y1, x2, y2) -> "AffineMap":
         """The affine map sending x1 to y1 and x2 to y2, for exact points
         with x1 != x2 and y1 != y2."""
         a, b, c, d = x1.denominator, y1.denominator, x2.denominator, y2.denominator
-        slope = Fraction((y2.numerator * b - y1.numerator * d) * a * c,
-                         b * d * (x2.numerator * a - x1.numerator * c))
-        sn, sd = slope.numerator, slope.denominator
-        return cls(slope, Fraction(y1.numerator * sd * a - sn * x1.numerator * b, b * sd * a))
+        # y1 − slope·x1 has the same value over the unreduced slope parts
+        sn, sd = (y2.numerator * b - y1.numerator * d) * a * c, b * d * (x2.numerator * a
+                                                                      - x1.numerator * c)
+        if sd < 0:
+            sn, sd = -sn, -sd
+        return cls._reduced(sn, sd, y1.numerator * sd * a - sn * x1.numerator * b, b * sd * a)
 
     def fixed_point(self) -> Optional[Fraction]:
         sn, sd, tn, td = self._ints
@@ -167,6 +220,11 @@ class AffineMap:
 
     def __repr__(self):
         return f"AffineMap({format_scalar(self.slope)}·x + {format_scalar(self.intercept)})"
+
+
+_set_ints = AffineMap._ints.__set__
+_set_slope = AffineMap._slope.__set__
+_set_intercept = AffineMap._intercept.__set__
 
 
 @dataclass(frozen=True)
@@ -242,8 +300,7 @@ MonotoneMap = object  # duck type: AffineMap | GenericMap | ComposedMap | GluedM
 # ---------------------------------------------------------------------------
 
 # while a cache is open: (id of a map, method, then each argument's type,
-# numerator and denominator) -> (the map, result), for a point's value and
-# for a span's pieces; and (a function, then the id of each argument) ->
+# numerator and denominator) -> (the map, result), for a point's value; and (a function, then the id of each argument) ->
 # (the arguments, result) for ``memoized_call``.  An entry keeps its
 # objects alive, so no other object takes an id while the key stands
 _EVALUATIONS: ContextVar[Optional[dict]] = ContextVar("mfroots_evaluations",
@@ -254,13 +311,13 @@ _EVALUATIONS: ContextVar[Optional[dict]] = ContextVar("mfroots_evaluations",
 def evaluation_cache():
     """Memoize, inside the block, the exact evaluations of the lazy orbit
     maps (both directions of each ``scalar_roots._OrbitMap``) and of the
-    glued lazy maps, and the pieces of orbit and glued maps on each span:
-    a proof asks the same maps at the same points and on the same spans
-    again and again.  A composed chain is built per proof and asked once,
-    so its pieces are not kept.  The cache is re-entrant: a
-    block opened inside another joins the open memo, so each build opens
-    it once and its construction's probes and its proof share it.  The
-    memo is dropped when the outermost block ends, also when it raises."""
+    glued lazy maps: a proof asks the same maps at the same points again
+    and again.  Spans are not memoized: few of a build's span lookups
+    repeat one, and an orbit map keeps the points of its orbit cells
+    itself.  The cache is re-entrant: a block opened inside another joins
+    the open memo, so each build opens it once and its construction's
+    probes and its proof share it.  The memo is dropped when the outermost
+    block ends, also when it raises."""
     if _EVALUATIONS.get() is not None:
         yield
         return
@@ -374,7 +431,6 @@ class GluedMap:
             if lt(a, b):
                 yield piece, a, b
 
-    @_memoized
     def breaks(self, lo, hi) -> tuple:
         # in order: each piece's breaks lie inside its span, which opens at
         # a knot unless it opens at lo
@@ -385,7 +441,6 @@ class GluedMap:
             pts.extend(piece.breaks(a, b))
         return tuple(pts)
 
-    @_memoized
     def limits(self, lo, hi) -> tuple:
         return tuple(ordered({e for piece, a, b in self._spans(lo, hi)
                               for e in piece.limits(a, b)}))

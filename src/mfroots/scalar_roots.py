@@ -426,10 +426,12 @@ def _orbit_carry(dom_in: _Domain, dom_out: _Domain, x, y, k, piece, inverse=Fals
     return p_out + a * (s_in / s_out) ** k * e + c * s_out ** -k
 
 
-def _orbit_points(dom: _Domain, knots: tuple, lo, hi) -> list:
+def _orbit_points(dom: _Domain, knots: tuple, lo, hi, cells: dict) -> list:
     """The points of the orbits under dom's map g of knots, which lie in
     dom in increasing order, strictly inside (lo, hi), in increasing order;
-    [lo, hi] lies in the basin of the attracting point.
+    [lo, hi] lies in the basin of the attracting point.  ``cells`` keeps,
+    per orbit cell k, the knots' images under g^(−k), taken when first
+    asked for.
 
     The points that g^k lands in dom form one interval for each k, and
     the intervals follow each other as k rises when g moves points down,
@@ -439,7 +441,9 @@ def _orbit_points(dom: _Domain, knots: tuple, lo, hi) -> list:
     step = 1 if dom.down else -1
     out: list = []
     for k in range(k_lo, k_hi + step, step):
-        points = [_orbit_power(dom, y, -k) for y in knots]
+        points = cells.get(k)
+        if points is None:
+            points = cells[k] = tuple(_orbit_power(dom, y, -k) for y in knots)
         if k == k_lo or k == k_hi:
             out.extend(x for x in points if inside(x, lo, hi))
         else:
@@ -499,6 +503,7 @@ class _OrbitMap:
         self.seed, self.land, self.carry, self.ends = seed, land, carry, ends
         (self.args, self.values), back = checks
         self.inverted = partner is not None
+        self._cells = (None, None, {})  # (seed, land, cells of _orbit_points)
         self.partner = partner or _OrbitMap(
             f"inverse {name}", orientation, seed, carry, land, tuple((b, a) for a, b in ends),
             exact, checks=(back, checks[0]), partner=self)
@@ -604,15 +609,18 @@ class _OrbitMap:
         return GenericMap(self.orientation, self, self.partner, self.recipe,
                           self if self.exact else None)
 
-    @_memoized
     def breaks(self, lo, hi) -> tuple:
         fixed = self.ends[0][0]
         if within(fixed, lo, hi):
             raise NoExactProofError(
                 f"{self.name}: pieces accumulate at {format_scalar(fixed)}")
-        # the ends of the seed's pieces, or of their images, along the orbit
-        knots = self.seed.landed(self.land, self.inverted)
-        return tuple(_orbit_points(self.land, knots, lo, hi))
+        # the ends of the seed's pieces, or of their images, along the orbit;
+        # the cells are kept for one seed and domain, so a new seed or
+        # domain reuses no old cells
+        seed, dom, cells = self._cells
+        if seed is not self.seed or dom is not self.land:
+            seed, dom, cells = self._cells = (self.seed, self.land, {})
+        return tuple(_orbit_points(dom, seed.landed(dom, self.inverted), lo, hi, cells))
 
     def limits(self, lo, hi) -> tuple:  # one comparison pair: cheaper than a lookup
         fixed = self.ends[0][0]

@@ -1,5 +1,8 @@
 """Monotone map layer: composition folding, iteration, gluing."""
 
+import copy
+import pickle
+from dataclasses import FrozenInstanceError
 from fractions import Fraction as Q
 
 import pytest
@@ -7,6 +10,7 @@ from hypothesis import example, given, strategies as st
 
 from mfroots import maps
 from mfroots.errors import StructureError
+from mfroots.scalars import format_scalar
 from mfroots.maps import (
     AffineMap,
     ComposedMap,
@@ -33,6 +37,8 @@ class TestAffine:
     def test_zero_slope_rejected(self):
         with pytest.raises(StructureError):
             AffineMap(0, 1)
+        with pytest.raises(StructureError, match="nonzero slope"):
+            AffineMap(Q(0, 5), Q(1, 2))
 
     def test_iterate_map_negative_powers(self):
         m = AffineMap(Q(1, 4), Q(1, 8))
@@ -69,10 +75,25 @@ def same(got, want):
     assert got.hex() == want.hex() if isinstance(want, float) else got == want
 
 
+def same_map(m, s, t):
+    """m is the map x ↦ s·x + t of the Fraction operators: its
+    coefficients, integer parts, orientation, repr, equality and hash."""
+    s, t = Q(s), Q(t)
+    same(m.slope, s)
+    same(m.intercept, t)
+    assert m._ints == (s.numerator, s.denominator, t.numerator, t.denominator)
+    assert m.orientation is (INC if s > 0 else DEC)
+    assert repr(m) == f"AffineMap({format_scalar(s)}·x + {format_scalar(t)})"
+    built = AffineMap(s, t)
+    assert m == built and not m != built and hash(m) == hash(built) == hash((s, t))
+    assert m != AffineMap(s, t + 1) and m != AffineMap(2 * s, t)
+
+
 class TestKernel:
     """The integer kernel gives what the Fraction operators give, for
     small and large coefficients and on both sides of the argument-size
-    bound."""
+    bound; maps built from integer parts (``after``, ``inverse_map``,
+    ``through``) read like maps built from Fractions, whatever the route."""
 
     @given(fractions, fractions, arguments)
     @example(Q(-3, 7), Q(1, 5), Q(1, BOUND - 1))
@@ -82,29 +103,36 @@ class TestKernel:
     @example(Q(-1, 3), Q(2, 3), 0.1)
     def test_call_and_inverse(self, s, t, x):
         m = AffineMap(s, t)
+        same_map(m, s, t)
         same(m(x), s * x + t)
         same(m.inverse(x), (x - t) / s)
+        inv = m.inverse_map()
+        same(inv(x), (1 / s) * x + (-t / s))
+        same(inv.inverse(x), (x - (-t / s)) / (1 / s))
 
     @given(fractions, fractions, fractions, fractions)
     @example(Q(-3, 7), Q(1, 5), Q(BOUND, 3), Q(1, BOUND))
     def test_inverse_map_and_after(self, s, t, u, v):
         m, inner = AffineMap(s, t), AffineMap(u, v)
         inv = m.inverse_map()
-        same(inv.slope, 1 / s)
-        same(inv.intercept, -t / s)
+        same_map(inv, 1 / s, -t / s)
         both = m.after(inner)
-        same(both.slope, s * u)
-        same(both.intercept, s * v + t)
+        same_map(both, s * u, s * v + t)
+        # the same maps by other routes
+        same_map(inv.inverse_map(), s, t)
+        same_map(both.after(inner.inverse_map()), s, t)
+        same_map(inv.after(m), 1, 0)
 
     @given(fractions, fractions, fractions, fractions)
     @example(Q(1, 3), Q(1, 5), Q(1, BOUND), Q(2, 7))
+    @example(Q(-2, 3), Q(1, 6), Q(5, 7), Q(-3, 2))
     def test_through(self, x1, y1, x2, y2):
         if x1 == x2 or y1 == y2:
             return
         m = AffineMap.through(x1, y1, x2, y2)
         slope = (y2 - y1) / (x2 - x1)
-        same(m.slope, slope)
-        same(m.intercept, y1 - slope * x1)
+        same_map(m, slope, y1 - slope * x1)
+        same_map(AffineMap.through(y1, x1, y2, x2), 1 / slope, -(y1 - slope * x1) / slope)
 
     @given(fractions, fractions)
     @example(Q(1), Q(1, 5))
@@ -120,6 +148,23 @@ class TestKernel:
     def test_integer_parts_of_any_size(self):
         assert AffineMap(Q(-3, 7), Q(1, 5))._ints == (-3, 7, 1, 5)
         assert AffineMap(Q(BOUND ** 2, 3), Q(1, BOUND))._ints == (BOUND ** 2, 3, 1, BOUND)
+        same_map(AffineMap(-2, 3), -2, 3)
+        same_map(AffineMap(0.5, "1/3"), Q(1, 2), Q(1, 3))
+        same_map(AffineMap(slope=Q(-6, 4), intercept=0), Q(-3, 2), 0)
+
+    def test_immutable(self):
+        m = AffineMap(Q(-3, 7), Q(1, 5)).after(AffineMap(2, 1))
+        for name in ("slope", "intercept", "_ints", "other"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(m, name, Q(1))
+            with pytest.raises(FrozenInstanceError):
+                delattr(m, name)
+        same_map(m, Q(-6, 7), Q(-8, 35))
+        for twin in (pickle.loads(pickle.dumps(m)), copy.deepcopy(m)):
+            same_map(twin, Q(-6, 7), Q(-8, 35))
+        # a map is a key: equal maps from different routes find one entry
+        assert {m: "m"}[AffineMap(Q(-6, 7), Q(-8, 35))] == "m"
+        assert m != (m.slope, m.intercept) and m != "m"
 
 
 class Sixteenths:

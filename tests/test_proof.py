@@ -313,6 +313,30 @@ class TestWitnesses:
         assert left[1].generators(Q(1, 2)) == (g, g)
         assert right[1].generators(Q(1, 2)) == (g, g)
 
+    @pytest.mark.parametrize("slope", [Q(1, 4), Q(1, 9)])
+    def test_generator_handed_on_once_per_orbit_map(self, slope, monkeypatch):
+        # phi2 ∘ (x ↦ 2x) ∘ (x ↦ x − 1/2) ∘ phi1 near 1/2, where phi1 is an
+        # orbit root attracting to 1/2 along x ↦ 1/2 + (x − 1/2)/4 and phi2
+        # one attracting to 0 along x ↦ slope·x: the two affine items hand
+        # phi1's generator on as x ↦ x/4, conjugated once
+        half = Q(1, 2)
+        phi1 = _OrbitMap.root(AffineMap(Q(1, 4), half * Q(3, 4)), half, 1, 2,
+                              ScalarRootSeed(anchor=1))
+        phi2 = _OrbitMap.root(AffineMap(slope, 0), 0, 1, 2, ScalarRootSeed(anchor=1))
+        W = ComposedMap((phi2, AffineMap(2, 0), AffineMap(1, -half), phi1))
+        calls = []
+        compose = mf.core.compose_maps
+        monkeypatch.setattr(mf.core, "compose_maps", lambda *m: calls.append(m) or compose(*m))
+        if slope == Q(1, 4):
+            assert mf.core._reduce_at(W, half, 1, Q(3, 4)) == Q(9, 16)
+        else:
+            with pytest.raises(NoExactProofError) as err:
+                mf.core._reduce_at(W, half, 1, Q(3, 4))
+            assert str(err.value) == ("orbit root: its generator AffineMap(1/9·x + 0) does "
+                                      "not match the one handed on, AffineMap(1/4·x + 0)")
+        # g0 for phi1, and one conjugation for phi2
+        assert len(calls) == 2
+
     def test_float_root_names_itself(self):
         # the library builds no float root; a user's opaque one has no witness
         real = float_root()

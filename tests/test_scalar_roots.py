@@ -1162,54 +1162,42 @@ class TestEvaluationCache:
         builder.build_increasing_root(load_mf(data_path("absorbing_target.mf")), 3)
         assert 0 < len(calls) <= 200
 
-    def test_spans_are_memoized_only_inside_the_block(self, monkeypatch):
+    def test_orbit_spans_are_not_memoized(self):
+        # an orbit map keeps its cells itself (TestOrbitCells), so its spans
+        # answer the same inside and outside a cache and are not stored
         phi = self.lazy_root()
         root = phi.forward
-        calls = []
-        points = scalar_roots._orbit_points
-        monkeypatch.setattr(scalar_roots, "_orbit_points",
-                            lambda *a: calls.append(a) or points(*a))
         lo, hi = Q(1, 1000), Q(1, 2)
-        for _ in range(2):
-            assert root.breaks(lo, hi) == phi.breaks(lo, hi)
-        assert len(calls) == 4
+        outside = self.lazy_root().forward.breaks(lo, hi)
         with scalar_roots.evaluation_cache():
             memo = scalar_roots._EVALUATIONS.get()
-            first = root.breaks(lo, hi)
-            assert root.breaks(lo, hi) is first and len(calls) == 5
-            # keyed as a point is, on each end's type and integer parts
-            key = (id(root), _OrbitMap.breaks.__wrapped__, Q, 1, 1000, Q, 1, 2)
-            assert memo[key] == (root, first)
-            size = len(memo)
-            for _ in range(2):  # the span holds the attracting point
+            for _ in range(2):
+                assert root.breaks(lo, hi) == phi.breaks(lo, hi) == outside
                 with pytest.raises(NoExactProofError, match="accumulate"):
-                    root.breaks(Q(0), hi)
-            assert len(memo) == size
+                    root.breaks(Q(0), hi)  # the span holds the attracting point
+            assert not memo
         assert scalar_roots._EVALUATIONS.get() is None
-        root.breaks(lo, hi)
-        assert len(calls) == 6
+        assert root.breaks(lo, hi) == outside
 
-    def test_glued_spans_are_memoized_composed_ones_are_not(self):
-        # a proof asks a glued map for the same span again; a composed
-        # chain is built per proof and asked once, so its spans are not kept
+    def test_glued_and_composed_spans_are_not_memoized(self):
         phi = self.lazy_root()
         r = AffineMap(-1, 1)
-        composed = compose_maps(r, phi, r)  # reflected: attracting at 1
-        glued = GluedMap((Q(1, 2),), (phi, AffineMap(Q(3, 2), Q(-1, 2))), (phi(Q(1, 2)),))
         lo, hi = Q(1, 10), Q(3, 4)
-        for m in (composed, glued):
-            outside = (m.breaks(lo, hi), m.limits(lo, hi))
+
+        def maps():
+            composed = compose_maps(r, phi, r)  # reflected: attracting at 1
+            glued = GluedMap((Q(1, 2),), (phi, AffineMap(Q(3, 2), Q(-1, 2))), (phi(Q(1, 2)),))
+            return composed, glued
+
+        outside = [(m.breaks(lo, hi), m.limits(lo, hi)) for m in maps()]
+        assert outside[0][1] == () and outside[1][0]
+        for m, want in zip(maps(), outside):
             with scalar_roots.evaluation_cache():
                 memo = scalar_roots._EVALUATIONS.get()
-                inside = (m.breaks(lo, hi), m.limits(lo, hi))
-                assert inside == outside
-                stored = any(entry[0] is m for entry in memo.values())
-                if m is glued:
-                    assert m.breaks(lo, hi) is inside[0] and m.limits(lo, hi) is inside[1]
-                    assert stored
-                else:
-                    assert m.breaks(lo, hi) == inside[0] and m.limits(lo, hi) == inside[1]
-                    assert not stored
+                for _ in range(2):
+                    assert (m.breaks(lo, hi), m.limits(lo, hi)) == want
+                assert not any(entry[0] is m for entry in memo.values())
+            assert (m.breaks(lo, hi), m.limits(lo, hi)) == want
 
 
 def old_orbit_points(dom, knots, lo, hi):
@@ -1281,6 +1269,43 @@ class TestOrbitPoints:
         for om, lo, hi in ((m, p + Q(1, 1000), Q(1)), (m.partner, Q(1, 1000), p - Q(1, 1000))):
             got = om.breaks(lo, hi)
             assert len(got) > 4 and got == old_breaks(om, lo, hi)
+
+    @pytest.mark.parametrize("kind,inverted", [("root", False), ("root", True),
+                                               ("pair", False), ("pair", True)])
+    def test_cells_are_taken_once_per_knot_and_cell(self, kind, inverted, monkeypatch):
+        m = self.orbit_map(kind, Q(1, 2), Q(3, 4), 3)
+        if inverted:
+            m = m.partner
+        base, anchor = m.ends[0][0], m.land.anchor
+        # overlapping spans between the attracting point and the anchor
+        spans = [tuple(sorted((base + t * (anchor - base), base + u * (anchor - base))))
+                 for t, u in ((Q(1, 1000), Q(1, 2)), (Q(1, 100), Q(3, 4)),
+                              (Q(1, 3000), Q(1, 10)), (Q(1, 1000), Q(1, 2)))]
+        calls = []
+        power = scalar_roots._orbit_power
+        monkeypatch.setattr(scalar_roots, "_orbit_power",
+                            lambda dom, z, k: calls.append((z, k)) or power(dom, z, k))
+        got = [m.breaks(lo, hi) for lo, hi in spans]
+        knots = m.seed.landed(m.land, m.inverted)
+        cells = {k for _, k in calls}
+        assert len(cells) > 4 and sorted(calls) == sorted((z, k) for z in knots for k in cells)
+        monkeypatch.setattr(scalar_roots, "_orbit_power", power)
+        fresh = self.orbit_map(kind, Q(1, 2), Q(3, 4), 3)
+        if inverted:
+            fresh = fresh.partner
+        for (lo, hi), want in zip(spans, got):
+            assert fresh.breaks(lo, hi) == want == old_breaks(m, lo, hi)
+
+    def test_new_domain_reuses_no_cells(self):
+        g = AffineMap(Q(1, 2), 0)
+        root = _OrbitMap.root(g, 0, 1, 2, ScalarRootSeed(anchor=1))
+        lo, hi = Q(1, 100), Q(7, 8)
+        before = root.breaks(lo, hi)
+        assert before == old_breaks(root, lo, hi)
+        # a domain of x ↦ x/4 at the same anchor: its orbits differ
+        root.land = _Domain(AffineMap(Q(1, 4), 0), Q(1))
+        after = root.breaks(lo, hi)
+        assert after == old_breaks(root, lo, hi) and after != before
 
     def test_reseeded_map_reads_no_stale_knots(self):
         g = AffineMap(Q(1, 2), 0)
