@@ -153,9 +153,9 @@ def verify_root(f: Multifunction, F: Multifunction, n: int,
     it does not take, fⁿ is composed: exact inputs compare structurally;
     otherwise fⁿ = F is proved or disproved in exact arithmetic through the
     witnesses of f's lazy maps (``core.prove_equivalent``).  Only when some
-    map has none, as for an opaque user map, does the check fall back to
-    the grid, and the report's detail names that map.  The report is the
-    same either way."""
+    map has none, as an opaque user map, or gives an inexact value does the
+    check fall back to the grid, and the report's detail names that map.
+    The report is the same either way."""
     eq = _prove_root(f, F, n)
     if eq is None:
         fn = iterate(f, n)

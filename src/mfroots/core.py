@@ -898,15 +898,6 @@ def _span_pieces(W, lo, hi) -> list:
     return list(zip(ends, ends[1:]))
 
 
-def _witness_pieces(W, u, v, limits):
-    """(cells, pieces) of W's witness on [u, v]: the cells of
-    ``_witness_spans``, and its spans split at W's breaks into the pieces
-    (p, q), in increasing order, open intervals on each of which W is
-    affine."""
-    cells, spans = _witness_spans(W, u, v, limits)
-    return cells, [piece for lo, hi in spans for piece in _span_pieces(W, lo, hi)]
-
-
 def _piece_points(cells, pieces):
     """(points, at): the cells, the ends of each piece and two inner points
     of it, where an affine piece is settled whether or not W is continuous
@@ -942,15 +933,40 @@ def _exact_value(W, x):
     return w
 
 
-def _prove_branch(W, A: AffineMap, u, v, limits):
-    """(pieces, x): W = A on [u, v] is proved over ``pieces`` affine
-    pieces, and x is None, or x is a point where they differ; ``limits``
-    are the points of [u, v] where W's pieces accumulate."""
-    cells, pieces = _witness_pieces(W, u, v, limits)
-    for x in _piece_points(cells, pieces)[0]:
-        if not eq(_exact_value(W, x), A(x)):
+def _prove_chain(maps, u, v, A=None, inc=None, limits=None):
+    """(pieces, x) for the chain of ``maps``, first map first, composed as
+    ``iterate`` composes it: its witness splits [u, v] into ``pieces``
+    affine pieces, accumulating at ``limits`` (asked of the chain when
+    None), and x is the first point where the chain is not proved equal to
+    the affine map A or, when ``inc`` is given, where maps[0] is not
+    proved strictly increasing (``inc``) or decreasing; else None.  A is
+    compared as each value comes, and the monotonicity verdict waits for
+    all of maps[0]'s.  Raises ``NoExactProofError`` when a map has no
+    witness or gives an inexact value."""
+    W = maps[-1]
+    for m in maps[-2::-1]:
+        W = compose_maps(W, m)
+    cells, spans = _witness_spans(W, u, v, W.limits(u, v) if limits is None else limits)
+    pieces = [piece for lo, hi in spans for piece in _span_pieces(W, lo, hi)]
+    points, at = _piece_points(cells, pieces)
+    first = maps[0]
+    w = []  # first's values
+    for x in points:
+        y = _exact_value(first, x)
+        w.append(y)
+        for m in maps[1:]:
+            y = _exact_value(m, y)
+        if A is not None and not eq(y, A(x)):
             return len(pieces), x
-    return len(pieces), None
+    if inc is not None and not isinstance(first, AffineMap):
+        # a gap the chain leaves at a cell, where first is affine (see
+        # ``_root_walk``); the census, the odd census and roots seeds 29 and
+        # 41 show 998 gaps, each at an orbit map of first's own
+        for c, d, (lo, hi) in zip(cells, cells[1:], spans):
+            for cell, end, side in ((c, lo, 1), (d, hi, -1)):
+                if not eq(end, cell) and _affine_germ(first, cell, side):
+                    return len(pieces), cell
+    return len(pieces), None if inc is None else _monotone_verdict(points, at, w, inc)
 
 
 def _prove_monotone(W, u, v, inc: bool):
@@ -965,14 +981,11 @@ def _prove_monotone(W, u, v, inc: bool):
     g'∘W for increasing affine g0, g' (``_reduce_at``), so W is strictly
     monotone there once it is on one fundamental domain, and W(e), the
     fixed point of g', bounds the values there once it bounds the domain's."""
-    cells, pieces = _witness_pieces(W, u, v, W.limits(u, v))
-    points, at = _piece_points(cells, pieces)
-    # every value before any verdict
-    return _monotone_verdict(points, at, [_exact_value(W, x) for x in points], inc)
+    return _prove_chain((W,), u, v, inc=inc)[1]
 
 
 def _monotone_verdict(points, at, w, inc: bool):
-    """``_prove_monotone``'s test of the values w of a map at ``points``
+    """``_prove_chain``'s test of the values w of a map at ``points``
     (``_piece_points``; the pieces open at the indices ``at``): None when
     they prove it strictly increasing (``inc``) or decreasing, else the
     first point where they do not."""
@@ -1043,7 +1056,7 @@ def prove_equivalent(F: Multifunction, G: Multifunction) -> EquivalenceReport:
     for bf, bg, lims in zip(F.branches, G.branches, limits):
         A = _as_affine(bg.map)
         try:
-            pieces, x = _prove_branch(bf.map, A, bf.lo, bf.hi, lims)
+            pieces, x = _prove_chain((bf.map,), bf.lo, bf.hi, A, limits=lims)
         except EvaluationRangeError as exc:
             # every evaluation is at a point of the branch or at its image
             # under the maps applied so far: F is undefined there, G is not
@@ -1088,10 +1101,10 @@ def _root_walk(f: Multifunction, F: Multifunction, n: int) -> Optional[Equivalen
     1. route (``_route``): (u, v) is carried through f n times, each image
        by the branch of f whose closure holds it; an f-jump strictly inside
        an image would be a jump of fⁿ that F does not have;
-    2. equality: the chain of the n branch maps, composed as ``iterate``
-       composes them, equals F's affine map at the points of its witness
-       pieces, exactly as ``_prove_branch`` proves it, so the report counts
-       the same pieces;
+    2. equality (``_prove_chain``): the chain of the n branch maps equals
+       F's affine map at the points of its witness pieces, the proof
+       ``prove_equivalent`` gives one map, so the report counts the same
+       pieces;
     3. monotonicity: the chain's first map is f's branch map on (u, v).  The
        chain's pieces lie inside its affine pieces and the chain's cells
        hold the points where it accumulates, so its values at the chain's
@@ -1126,52 +1139,19 @@ def _root_walk(f: Multifunction, F: Multifunction, n: int) -> Optional[Equivalen
                 return None
         a, b = f.domain.lo, f.domain.hi
         total = 0
+        inc = f.orientation is INC
         for bg in F.branches:
-            pieces = _walk_branch(f, bg, n, eq(bg.lo, a) and F.includes_left_endpoint,
-                                  eq(bg.hi, b) and F.includes_right_endpoint)
-            if pieces is None:
+            maps = _route(f, bg.lo, bg.hi, n, eq(bg.lo, a) and F.includes_left_endpoint,
+                          eq(bg.hi, b) and F.includes_right_endpoint)
+            if maps is None:
+                return None
+            pieces, x = _prove_chain(maps, bg.lo, bg.hi, _as_affine(bg.map), inc)
+            if x is not None:
                 return None
             total += pieces
     except MfError:
         return None
     return EquivalenceReport(True, True, 0.0, None, f"exact proof over {total} affine pieces")
-
-
-def _walk_branch(f: Multifunction, bg: Branch, n: int, free_lo: bool, free_hi: bool):
-    """Steps 1 to 3 of ``_root_walk`` on the branch bg of F: the number of
-    affine pieces the chain is proved equal to F's map over, or None.
-    ``free_lo`` and ``free_hi`` say whether bg's ends are domain ends where
-    F does not jump."""
-    maps = _route(f, bg.lo, bg.hi, n, free_lo, free_hi)
-    if maps is None:
-        return None
-    first, rest = maps[0], maps[1:]
-    W = maps[-1]
-    for m in maps[-2::-1]:
-        W = compose_maps(W, m)
-    cells, spans = _witness_spans(W, bg.lo, bg.hi, W.limits(bg.lo, bg.hi))
-    pieces = [piece for lo, hi in spans for piece in _span_pieces(W, lo, hi)]
-    points, at = _piece_points(cells, pieces)
-    A = _as_affine(bg.map)
-    w = []  # first's values
-    for x in points:
-        y = first(x)
-        w.append(y)
-        for m in rest:
-            y = m(y)
-        if not (is_exact(y) and eq(y, A(x))):
-            return None
-    if not isinstance(first, AffineMap):
-        # a gap where first is affine is refused; the census, the odd
-        # census and roots seeds 29 and 41 show 998 gaps, each at an
-        # orbit map of first's own, and none of that kind
-        for c, d, (lo, hi) in zip(cells, cells[1:], spans):
-            if ((not eq(lo, c) and _affine_germ(first, c, 1))
-                    or (not eq(hi, d) and _affine_germ(first, d, -1))):
-                return None
-        if _monotone_verdict(points, at, w, f.orientation is INC) is not None:
-            return None
-    return len(pieces)
 
 
 def _route(f: Multifunction, u, v, n: int, free_lo: bool, free_hi: bool):

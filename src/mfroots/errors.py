@@ -137,6 +137,6 @@ class EvaluationRangeError(RootConstructionError):
 
 class NoExactProofError(MfError):
     """An equality could not be proved in exact arithmetic: a map carries
-    no witness (an opaque user map), or a witness does not fit
-    where it is used.  The reason names the map; callers fall back to a
-    grid comparison."""
+    no witness (an opaque user map), gives an inexact value, or a witness
+    does not fit where it is used.  The reason names the map; callers fall
+    back to a grid comparison."""

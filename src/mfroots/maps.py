@@ -58,10 +58,6 @@ class Orientation(enum.Enum):
         # Sign rule for composition: Dec∘Dec = Inc, mixed = Dec.
         return Orientation.INC if self is other else Orientation.DEC
 
-    @property
-    def reversed(self) -> "Orientation":
-        return Orientation.DEC if self is Orientation.INC else Orientation.INC
-
 
 INC = Orientation.INC
 DEC = Orientation.DEC
@@ -154,10 +150,6 @@ class AffineMap:
     @property
     def orientation(self) -> Orientation:
         return INC if self._ints[0] > 0 else DEC
-
-    @property
-    def is_exact(self) -> bool:
-        return True
 
     def __call__(self, x: Scalar) -> Scalar:
         if type(x) is Fraction or type(x) is int:
@@ -258,10 +250,6 @@ class GenericMap:
     # description exists (opaque maps)
     witness: object = field(default=None, compare=False, repr=False)
 
-    @property
-    def is_exact(self) -> bool:
-        return False
-
     def __call__(self, x: Scalar) -> Scalar:
         return self.forward(x)
 
@@ -299,8 +287,9 @@ MonotoneMap = object  # duck type: AffineMap | GenericMap | ComposedMap | GluedM
 # evaluation cache
 # ---------------------------------------------------------------------------
 
-# while a cache is open: (id of a map, method, then each argument's type,
-# numerator and denominator) -> (the map, result), for a point's value; and (a function, then the id of each argument) ->
+# while a cache is open, two kinds of entry: (id of a map, method, then
+# each argument's type, numerator and denominator) -> (the map, result)
+# for a point's value, and (a function, then the id of each argument) ->
 # (the arguments, result) for ``memoized_call``.  An entry keeps its
 # objects alive, so no other object takes an id while the key stands
 _EVALUATIONS: ContextVar[Optional[dict]] = ContextVar("mfroots_evaluations",
@@ -390,10 +379,6 @@ class GluedMap:
             value_knots = tuple(piece(k) for k, piece in zip(self.knots, self.pieces))
         self.value_knots = tuple(value_knots)
 
-    @property
-    def is_exact(self) -> bool:
-        return False  # piecewise: proofs read its pieces (breaks, germ)
-
     def __call__(self, x: Scalar) -> Scalar:
         i = bisect_left(self.knots, x)  # the knots below x
         if i < len(self.knots) and eq(x, self.knots[i]):
@@ -466,10 +451,6 @@ class ComposedMap:
             o = o * m.orientation
         return o
 
-    @property
-    def is_exact(self) -> bool:
-        return all(isinstance(m, AffineMap) for m in self.maps)
-
     def __call__(self, x: Scalar) -> Scalar:
         for m in reversed(self.maps):
             x = m(x)
@@ -514,7 +495,10 @@ class ComposedMap:
                         split.append((p2, q2, None))
                         continue
                     t1, t2 = thirds(p2, q2)
-                    split.append((p2, q2, AffineMap.through(t1, m(c(t1)), t2, m(c(t2)))))
+                    w1, w2 = m(c(t1)), m(c(t2))
+                    if not (is_exact(w1) and is_exact(w2)):
+                        raise NoExactProofError(f"{m!r} gives an inexact value")
+                    split.append((p2, q2, AffineMap.through(t1, w1, t2, w2)))
             segments = split
         return tuple(p for p, _, _ in segments[1:])
 

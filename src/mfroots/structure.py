@@ -196,7 +196,8 @@ def _branch_fixed_points(F: Multifunction, samples: int = 256):
                 x = lo + step * i
                 d = br.map(x) - x
                 if prev_d == 0 and lo < prev_x < hi:
-                    out.append((prev_x, False))
+                    # a sample hit, exact when the point and its value are
+                    out.append((prev_x, is_exact(prev_d)))
                 elif prev_d < 0 < d or d < 0 < prev_d:
                     a_, b_ = prev_x, x
                     for _ in range(80):

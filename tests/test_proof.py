@@ -16,6 +16,7 @@ from mfroots.builder import (
     Certificate,
     RootArtifact,
     _end_orbit_hit,
+    _finish,
     build_decreasing_odd_root,
     build_decreasing_square_root,
     build_increasing_root,
@@ -30,12 +31,13 @@ from mfroots.core import (
     _exact_value,
     _piece_points,
     _prove_monotone,
-    _witness_pieces,
+    _span_pieces,
+    _witness_spans,
     equivalent,
     iterate,
     prove_equivalent,
 )
-from mfroots.errors import NoExactProofError
+from mfroots.errors import DomainMismatchError, MfError, NoExactProofError
 from mfroots.io import load_mf
 from mfroots.maps import (
     AffineMap,
@@ -759,7 +761,8 @@ def piece_points_by_sort(cells, pieces) -> list:
 def prove_monotone_by_dicts(W, u, v, inc):
     """``_prove_monotone`` as it read its values from Fraction-keyed dicts
     and sorted its marks: the reference for the index walk."""
-    cells, pieces = _witness_pieces(W, u, v, W.limits(u, v))
+    cells, spans = _witness_spans(W, u, v, W.limits(u, v))
+    pieces = [piece for lo, hi in spans for piece in _span_pieces(W, lo, hi)]
     w = {x: _exact_value(W, x) for x in piece_points_by_sort(cells, pieces)}
     marks = {(x, 1): w[x] for x in cells}
     for p, q in pieces:
@@ -797,7 +800,8 @@ class TestPiecePoints:
         for F, n, art in exact_roots(kind, n=2 if kind != "odd" else 3):
             for W, lo, hi, _ in branch_maps(art, n):
                 limits = W.limits(lo, hi)
-                cells, pieces = _witness_pieces(W, lo, hi, limits)
+                cells, spans = _witness_spans(W, lo, hi, limits)
+                pieces = [piece for a, b in spans for piece in _span_pieces(W, a, b)]
                 points, at = _piece_points(cells, pieces)
                 assert points == piece_points_by_sort(cells, pieces)
                 assert [(points[i], points[i + 3]) for i in at] == pieces
@@ -879,3 +883,55 @@ class TestDecreasingCubic:
             w = {**cert.witnesses, **bad}
             assert not recheck_certificate(
                 Certificate(cert.rule, "", cert.inputs, w), F)
+
+
+# ---------------------------------------------------------------------------
+# refusals and reports of the proof paths
+# ---------------------------------------------------------------------------
+
+def third_root():
+    """The orbit square root of x ↦ x/3 on [0, 1]."""
+    return increasing_nth_root(AffineMap(Q(1, 3), 0), 0, 1, 2)
+
+
+def inexact_root():
+    """The square root of x ↦ x/3 with its witness, but giving floats."""
+    phi = third_root()
+    return GenericMap(mf.INC, lambda x: float(phi(x)), phi.inverse, ("lie",), phi.witness)
+
+
+class TestRefusals:
+    THIRD = Multifunction.build(0, 1, [(0, 1, Q(1, 3), 0)])
+
+    def test_inexact_values_are_sampled_and_refused_by_the_proof(self):
+        f = one_branch(inexact_root())
+        report = f.validate()
+        assert report.ok and report.sampled == (0,)
+        G = Multifunction.build(0, 1, [(0, 1, Q(1, 2), 0)])
+        v = verify_root(f, G, 1)
+        assert not v.passed and not v.exact, v
+        assert v.detail.endswith("(GenericMap(inc, lie) gives the inexact value 0.0)"), v
+
+    def test_inexact_values_in_a_chain_fall_back_to_the_grid(self):
+        # the chain's breaks are fitted on its maps' values, which are floats
+        f = one_branch(inexact_root())
+        v = verify_root(f, self.THIRD, 2)
+        assert v.passed and not v.exact, v
+        assert v.detail == "grid comparison (GenericMap(inc, lie) gives an inexact value)"
+        with pytest.raises(NoExactProofError, match=r"GenericMap\(inc, lie\) gives an inexact"):
+            prove_equivalent(iterate(f, 2), self.THIRD)
+
+    def test_root_of_another_target_fails_verification(self):
+        F = Multifunction.build(0, 1, [(0, 1, Q(1, 4), 0)])
+        with pytest.raises(MfError) as exc:
+            _finish(F, one_branch(third_root()), 2, "increasing", "inc", {})
+        message = str(exc.value)
+        assert message.startswith("constructed root fails verification: ")
+        assert "branch maps differ at 1/3 on (0, 1)" in message
+
+    def test_orientations_and_domains_must_agree(self):
+        f = one_branch(third_root())
+        report = prove_equivalent(f, Multifunction.build(0, 1, [(0, 1, -1, 1)]))
+        assert not report.equal and report.exact and report.reason == "orientations differ"
+        with pytest.raises(DomainMismatchError):
+            prove_equivalent(f, Multifunction.build(0, 2, [(0, 2, Q(1, 2), 0)]))

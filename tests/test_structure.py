@@ -9,11 +9,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mfroots as mf
+from mfroots.builder import RootArtifact, build_increasing_root
 from mfroots.errors import (
     NoSingleTargetError,
     NotAJumpError,
     NotIncreasingError,
 )
+from mfroots.scalar_roots import DEFAULT_SEED, _increasing_root_auto
+from mfroots.structure import inclusion_fixed_points
 
 from conftest import (
     absorbing_target,
@@ -156,6 +159,17 @@ class TestSplit:
     def test_strictly_below_diagonal_single_piece(self):
         F = mf.Multifunction.build(0, 1, pieces=[(0, 1, "1/2", 0)])
         assert len(mf.split_at_inclusion_fixed_points(F).pieces) == 1
+
+    def test_fixed_point_on_a_sample_is_exact(self):
+        # the glued root of x ↦ x/3 + 1/3 fixes 1/2, a sample of the scan
+        phi = _increasing_root_auto(mf.AffineMap(Q(1, 3), Q(1, 3)), 0, 1, 2,
+                                    DEFAULT_SEED, allow_interior=True)
+        assert not isinstance(phi, mf.AffineMap) and phi(Q(1, 2)) == Q(1, 2)
+        F = mf.Multifunction(mf.ClosedInterval(0, 1), mf.INC, (mf.Branch(0, 1, phi),), ())
+        assert inclusion_fixed_points(F) == [(Q(1, 2), True)]
+        assert mf.split_at_inclusion_fixed_points(F).cuts == (Q(1, 2),)
+        art = build_increasing_root(F, 2)
+        assert isinstance(art, RootArtifact) and art.verification.passed, art
 
 
 class TestHypothesis:

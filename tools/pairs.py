@@ -14,14 +14,16 @@ pair, so drift of a shared machine's speed falls on both.
 
 Prints, for every run, its ``failed`` and ``attempted`` operations and its
 block count (a workload whose failures come once per pair of blocks has a
-failed share that moves with the count's parity).  Then, for each
-end-to-end metric of ``BENCHMARK.json``: the median and quartiles of both
-sides, the ratio of the medians, how many pairs the change wins, and
+failed share that moves with the count's parity), and each side's failed
+share: failed over attempted operations, summed over its runs.  Then, for
+each end-to-end metric of ``BENCHMARK.json``: the median and quartiles of
+both sides, the ratio of the medians, how many pairs the change wins, and
 whether the gap between the medians exceeds the parent's quartile spread.
 ``--json PATH`` also writes all of it to PATH: both refs, the host, each
-run's ``failed``/``attempted``/blocks, and each metric's values, medians,
-quartiles and wins.  Stdlib only.  Exits 1 when a run fails or reports a
-wrong result.
+run's ``failed``/``attempted``/blocks, both failed shares, and each
+metric's values, medians, quartiles and wins.  Stdlib only.  Exits 1 when
+a run fails or reports a wrong result, or when the change's failed share
+is larger than the parent's.
 """
 
 from __future__ import annotations
@@ -107,6 +109,12 @@ def main(argv=None) -> int:
                       f"{result['attempted']}  blocks {result['blocks']}  "
                       f"correct {result['correct']}", flush=True)
 
+    shares = {}
+    for side, results in runs.items():
+        failed, attempted = (sum(r[k] for r in results) for k in ("failed", "attempted"))
+        shares[side] = failed / attempted if attempted else 0.0
+        print(f"{side:6s} failed share {failed} of {attempted} = {shares[side]:.4%}")
+
     print(f"\n{args.workload} seed {args.seed}, {args.pairs} pairs of {args.seconds:g} s, "
           f"parent {args.parent}: median [q1-q3]")
     summary = {}
@@ -143,11 +151,16 @@ def main(argv=None) -> int:
             "order": "pair i (from 1) runs the parent first when i is odd",
             "runs": {side: [{k: r[k] for k in ("correct", "failed", "attempted", "blocks")}
                             for r in results] for side, results in runs.items()},
+            "failed_share": shares,
             "metrics": summary,
         }
         Path(args.json).write_text(json.dumps(report, indent=1) + "\n")
+    more_failures = shares["change"] > shares["parent"]
+    if more_failures:
+        print(f"the change fails a larger share of operations than the parent: "
+              f"{shares['change']:.4%} against {shares['parent']:.4%}")
     bad = [r for side in runs.values() for r in side if not r["correct"]]
-    return 1 if bad else 0
+    return 1 if bad or more_failures else 0
 
 
 if __name__ == "__main__":
