@@ -3,10 +3,12 @@
 The increasing pipeline splits at inclusion fixed points, normalizes each
 piece below the diagonal (reflecting when needed), takes a scalar root on
 the absorbing interval and extends it to the other intervals by the
-direct-routing formula; jump values come from orbit pullbacks (J1) or the
-one-sided-limit interval at the right endpoint (J2).  Decreasing roots of
-increasing targets pair invariant intervals through a reversing
-conjugacy; decreasing targets of odd order run through the square.
+direct-routing formula.  Decreasing roots of increasing targets pair
+invariant intervals through a reversing conjugacy; decreasing targets of
+odd order run through the square.  Every pipeline ends in one jump
+realization (``_realize``) for both orientations: jump values come from
+orbit pullbacks (J1) or the interval between the root's one-sided limits
+(J2).
 """
 
 from __future__ import annotations
@@ -206,6 +208,73 @@ def _pullback_valueset(branches: Tuple[Branch, ...], V: ValueSet,
     return V
 
 
+def _realize(F: Multifunction, root_maps, n: int) -> Multifunction:
+    """Root of order n from its branch maps on F's partition, ``root_maps[i]``
+    on F's i-th branch, in the orientation the maps have: each branch is
+    probed at both closure ends so that partial orbit maps fail fast, J1
+    jump values are pulled back n − 1 times, and J2 values span the root's
+    one-sided limits.  The top end of an increasing piece is a cut at an
+    inclusion fixed point, so a J2 value there reaches the end itself:
+    [f(b−), b].  A J1 value that pulls back to one point would need a root
+    continuous there, which is not constructed (``UnsupportedCaseError``)."""
+    root_branches = tuple(Branch(br.lo, br.hi, root_maps[i])
+                          for i, br in enumerate(F.branches))
+    ends = []
+    for br in root_branches:
+        try:
+            ends.append((br.map(br.lo), br.map(br.hi)))
+        except EvaluationRangeError as exc:
+            raise IncompatiblePatternError(
+                f"extension cannot cover the image on ({format_scalar(br.lo)}, "
+                f"{format_scalar(br.hi)}): {exc}") from exc
+    orientation = INC if ends[0][0] < ends[0][1] else DEC
+
+    root_jumps = []
+    for jp in F.jumps:
+        c = jp.location
+        kind = classify_jump(F, c).kind
+        if kind in ("J3", "J4"):
+            raise UnsupportedCaseError(
+                f"jump {format_scalar(c)} in case {kind}; decreasing "
+                "roots there remain open")
+        if kind == "J1":
+            try:
+                value = _pullback_valueset(root_branches, jp.value, n - 1)
+            except MfError as exc:
+                raise ConditionJStarViolatedError(c, str(exc)) from exc
+            if value.is_singleton:
+                raise UnsupportedCaseError(
+                    f"the value at jump {format_scalar(c)} pulls back to the point "
+                    f"{format_scalar(value.singleton_value())}; a root without a jump "
+                    "there is not constructed")
+        else:  # J2
+            if not jp.value.is_single_interval:
+                raise NonCompactJumpValueError(c)
+            left = [hi for br, (_, hi) in zip(root_branches, ends) if br.hi == c]
+            right = [lo for br, (lo, _) in zip(root_branches, ends) if br.lo == c]
+            if orientation is INC and c == F.domain.hi:
+                right = [c]
+            low, high = (left, right) if orientation is INC else (right, left)
+            if not low or not high:
+                # hypothesis H keeps jumps off an increasing piece's lower
+                # end, so only a decreasing root gets here
+                raise UnsupportedCaseError(
+                    f"J2 jump at the boundary {format_scalar(c)} for a "
+                    "decreasing root is not constructed")
+            lo_lim, hi_lim = low[0], high[0]
+            if not lo_lim < hi_lim:
+                raise ConditionJStarViolatedError(
+                    c, "one-sided limits of the root do not leave a gap")
+            inside = [d for d in F.jump_locations if lo_lim <= d <= hi_lim]
+            if inside != [c]:
+                raise ConditionJStarViolatedError(
+                    c, f"[{format_scalar(lo_lim)}, {format_scalar(hi_lim)}] "
+                       f"covers jumps {inside}, need exactly the jump itself")
+            value = ValueSet.interval(lo_lim, hi_lim)
+        root_jumps.append(JumpPoint(c, value))
+    return Multifunction(F.domain, orientation, root_branches, tuple(root_jumps))
+
+
 def _seed_to_payload(seed: Optional[ScalarRootSeed]):
     if seed is None:
         return None
@@ -325,13 +394,6 @@ def _build_piece_increasing(W: Multifunction, n: int,
             raise UnsupportedCaseError(
                 f"jump {format_scalar(jp.location)} lies in case J3 with "
                 f"n <= m - ell + 1 = {bound}; the construction is open")
-        if cls.kind == "J2":
-            if jp.location != b:
-                raise UnsupportedCaseError(
-                    f"J2 jump at {format_scalar(jp.location)} inside the piece; "
-                    "splitting should have consumed it")
-            if not jp.value.is_single_interval:
-                raise NonCompactJumpValueError(jp.location)
 
     K = W.branches[0]
     if K.lo != a:
@@ -367,14 +429,10 @@ def _build_piece_increasing(W: Multifunction, n: int,
                                 floor_last=cap_bound)
 
     inv_K = K.map.inverse_map()
-    root_branches = [Branch(K.lo, K.hi, phi)]
-    for br in others:
-        root_branches.append(Branch(br.lo, br.hi,
-                                    compose_maps(inv_K, phi, br.map)))
-    root_branches = tuple(root_branches)
+    root_maps = [phi] + [compose_maps(inv_K, phi, br.map) for br in others]
 
     if not (jump_locs and jump_locs[-1] == b):
-        fb = root_branches[-1].map(b)
+        fb = root_maps[-1](b)
         if fb in jump_locs:
             return Certificate(
                 "EndpointInfeasible",
@@ -385,18 +443,7 @@ def _build_piece_increasing(W: Multifunction, n: int,
                 witnesses={"endpoint": b, "image": fb,
                            "phi": _map_recipe(phi)},
             )
-
-    root_jumps = []
-    for jp in W.jumps:
-        cls = classify_jump(W, jp.location)
-        if cls.kind == "J1":
-            value = _pullback_valueset(root_branches, jp.value, n - 1)
-        else:  # J2 at b
-            lim = root_branches[-1].map(b)
-            value = ValueSet.interval(lim, b)
-        root_jumps.append(JumpPoint(jp.location, value))
-
-    return Multifunction(W.domain, INC, root_branches, tuple(root_jumps))
+    return _realize(W, root_maps, n)
 
 
 def _merge_piece_roots(domain: ClosedInterval,
@@ -474,71 +521,23 @@ def build_increasing_root(F: Multifunction, n: int,
 
 
 # ---------------------------------------------------------------------------
-# realization of decreasing roots
+# ends and retries of decreasing roots
 # ---------------------------------------------------------------------------
-
-def _realize_decreasing(F: Multifunction, root_maps: Dict[int, object],
-                        n: int) -> Multifunction:
-    """Decreasing root of order n from its branch maps on F's partition:
-    each branch is probed at both closure ends so that partial orbit maps
-    fail fast, J1 jump values are pulled back n − 1 times, and J2 values
-    span the root's one-sided limits."""
-    root_branches = tuple(Branch(br.lo, br.hi, root_maps[i])
-                          for i, br in enumerate(F.branches))
-    for br in root_branches:
-        try:
-            br.map(br.lo)
-            br.map(br.hi)
-        except EvaluationRangeError as exc:
-            raise IncompatiblePatternError(
-                f"extension cannot cover the image on ({format_scalar(br.lo)}, "
-                f"{format_scalar(br.hi)}): {exc}") from exc
-
-    root_jumps = []
-    for jp in F.jumps:
-        cls = classify_jump(F, jp.location)
-        c = jp.location
-        if cls.kind in ("J3", "J4"):
-            raise UnsupportedCaseError(
-                f"jump {format_scalar(c)} in case {cls.kind}; decreasing "
-                "roots there remain open")
-        if cls.kind == "J1":
-            try:
-                value = _pullback_valueset(root_branches, jp.value, n - 1)
-            except MfError as exc:
-                raise ConditionJStarViolatedError(c, str(exc)) from exc
-        else:  # J2
-            if not jp.value.is_single_interval:
-                raise NonCompactJumpValueError(c)
-            left = [br for br in root_branches if br.hi == c]
-            right = [br for br in root_branches if br.lo == c]
-            if not left or not right:
-                raise UnsupportedCaseError(
-                    f"J2 jump at the boundary {format_scalar(c)} for a "
-                    "decreasing root is not constructed")
-            hi_lim = left[0].map(c)
-            lo_lim = right[0].map(c)
-            if not lo_lim < hi_lim:
-                raise ConditionJStarViolatedError(
-                    c, "one-sided limits of the root do not leave a gap")
-            inside = [d for d in F.jump_locations if lo_lim <= d <= hi_lim]
-            if inside != [c]:
-                raise ConditionJStarViolatedError(
-                    c, f"[{format_scalar(lo_lim)}, {format_scalar(hi_lim)}] "
-                       f"covers jumps {inside}, need exactly the jump itself")
-            value = ValueSet.interval(lo_lim, hi_lim)
-        root_jumps.append(JumpPoint(c, value))
-    return Multifunction(F.domain, DEC, root_branches, tuple(root_jumps))
-
 
 def _end_orbit_hit(F: Multifunction, f: Multifunction, n: int):
     """(a, j, x) for a domain end a where F has no jump but the j-th image
-    x = f^j(a), 0 < j < n, is a jump of f, so that fⁿ jumps at a; else None."""
+    x = f^j(a), 0 < j < n, is a jump of f, so that fⁿ jumps at a; else None.
+    Raises ``IncompatiblePatternError`` when an image the walk steps from
+    has left the domain: f then is no self-map, whatever F is."""
     for a in (F.domain.lo, F.domain.hi):
         if F.jump_at(a) is not None:
             continue
         x = a
         for j in range(1, n):
+            if not f.domain.contains(x):
+                raise IncompatiblePatternError(
+                    f"the root sends the domain end {format_scalar(a)} to "
+                    f"{format_scalar(x)} at power {j - 1}, outside {f.domain}")
             x = f(x).singleton_value()
             if f.jump_at(x) is not None:
                 return a, j, x
@@ -563,13 +562,13 @@ def _finish_decreasing(F: Multifunction, n: int, pipeline: str, seed,
     ``retry(hit)`` may give another construction to try; the certificate of
     the last hit is returned when none gets off the jumps."""
     root_maps = construct()
-    realized = _realize_decreasing(F, root_maps, n)
+    realized = _realize(F, root_maps, n)
     hit = _end_orbit_hit(F, realized, n)
     again = retry(hit) if hit is not None else None
     if again is not None:
         try:
             root_maps = again()
-            realized = _realize_decreasing(F, root_maps, n)
+            realized = _realize(F, root_maps, n)
         except RootConstructionError:
             return _end_orbit_certificate(n, *hit)
         hit = _end_orbit_hit(F, realized, n)

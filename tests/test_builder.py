@@ -1,7 +1,9 @@
 """Root assembly, certificates, verification, and diagnostics."""
 
 import random
+import sys
 from fractions import Fraction as Q
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,8 +25,11 @@ from mfroots.builder import (
 from mfroots.errors import (
     ConditionJStarViolatedError,
     IncompatiblePatternError,
+    MfError,
     NonCompactJumpValueError,
     NotExclusiveError,
+    OutOfDomainError,
+    StructureError,
     UnsupportedCaseError,
 )
 from mfroots.scalar_roots import ScalarRootSeed
@@ -49,6 +54,9 @@ from conftest import (
     square_target,
     tail_jump_target,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import gen  # noqa: E402
 
 
 class TestIncreasingBuilder:
@@ -202,6 +210,65 @@ class TestDecreasingOddBuilder:
         # swapping target whose branch limits pinch the jump: no root exists
         with pytest.raises((IncompatiblePatternError, ConditionJStarViolatedError)):
             build_decreasing_odd_root(dec_simple_target(), 3)
+
+    def test_end_image_outside_the_domain_is_a_bad_root(self):
+        # the built root sends 0 to 1631/1536: a bad root, not bad input
+        F = mf.Multifunction.build(0, 1,
+            pieces=[(0, "1/128", "-91/2", "133/256"),
+                    ("1/128", 1, "-8/127", "1913/16256")],
+            jumps=[("1/128", ("15/128", "21/128"))])
+        with pytest.raises(IncompatiblePatternError,
+                           match="domain end 0 to 1631/1536 at power 1"):
+            build_decreasing_odd_root(F, 3)
+
+
+class TestRealize:
+    """The jump realization on hand-made affine root maps: its refusals,
+    which no census build reaches."""
+
+    @staticmethod
+    def realize(F, coefficients, n=2):
+        return builder._realize(F, [mf.AffineMap(Q(s), Q(t)) for s, t in coefficients], n)
+
+    @staticmethod
+    def halves(value):
+        """x/2 on [0, 1/2) and x/2 + 1/2 on (1/2, 1], with F(1/2) = ``value``."""
+        return mf.Multifunction.build(0, 1,
+            pieces=[(0, "1/2", "1/2", 0), ("1/2", 1, "1/2", "1/2")],
+            jumps=[("1/2", value)])
+
+    def test_j2_value_of_two_components(self):
+        F = self.halves([("1/4", "3/8"), ("1/2", "3/4")])
+        with pytest.raises(NonCompactJumpValueError):
+            self.realize(F, [(-1, 1), (-1, 1)])
+
+    def test_j2_at_the_end_of_a_decreasing_root(self):
+        F = mf.Multifunction.build(0, 1, pieces=[(0, 1, "1/2", 0)],
+                                   jumps=[(1, ("1/2", 1))])
+        with pytest.raises(UnsupportedCaseError, match="boundary 1 for a decreasing root"):
+            self.realize(F, [(-1, 1)])
+
+    def test_root_continuous_at_the_jump(self):
+        F = self.halves(("1/4", "3/4"))
+        with pytest.raises(ConditionJStarViolatedError, match="do not leave a gap"):
+            self.realize(F, [(-1, 1), (-1, 1)])
+
+    def test_limits_cover_another_jump(self):
+        F = mf.Multifunction.build(0, 1,
+            pieces=[(0, "1/4", "1/2", 0), ("1/4", "1/2", "1/4", "5/16"),
+                    ("1/2", 1, "17/16", "-1/16")],
+            jumps=[("1/4", ("1/8", "3/8")), ("1/2", ("7/16", "15/32"))])
+        with pytest.raises(ConditionJStarViolatedError, match="covers jumps"):
+            self.realize(F, [(-1, 1), ("-1/2", "1/4"), ("-1/8", "1/8")])
+
+    def test_collapsed_pullback(self):
+        # F's own maps send both ends of F(3/4) back to 3/4
+        F = mf.Multifunction.build(0, 1,
+            pieces=[(0, "3/4", "1/3", 0), ("3/4", 1, 2, -1)],
+            jumps=[("3/4", ("1/4", "1/2"))])
+        with pytest.raises(UnsupportedCaseError,
+                           match="pulls back to the point 3/4; a root without a jump"):
+            self.realize(F, [("1/3", 0), (2, -1)])
 
 
 class TestCertify:
@@ -384,6 +451,50 @@ class TestRoundTripProperty:
         assert outcome.realized.validate().ok
 
 
+class TestPlantedSample:
+    """Targets F = fⁿ with a known root f (ROADMAP's planted census): no
+    builder may deny the root, and a refusal is a construction's typed
+    error, never one that reports bad input."""
+
+    DRAWS = 120
+
+    @staticmethod
+    def build(f, F, n):
+        if f.orientation is mf.INC:
+            return build_increasing_root(F, n)
+        if n == 2:
+            return build_decreasing_square_root(F)
+        return build_decreasing_odd_root(F, 3)
+
+    def test_no_denial_and_no_input_error(self):
+        reflection = mf.Multifunction.build(0, 1, pieces=[(0, 1, -1, 1)])
+        rng = random.Random(11)
+        wrong = []
+        for i in range(self.DRAWS):
+            f = gen.monotone_increasing(rng, rng.randint(1, 4))
+            if i % 2:
+                f = mf.compose(reflection, f)
+            for n in (2, 3):
+                F = mf.iterate(f, n)
+                if mf.intensity(F).value != 1:
+                    continue
+                cert = certify_nonexistence(F, n, f.orientation.value)
+                if cert is not None:
+                    wrong.append((i, n, cert.text()))
+                try:
+                    outcome = self.build(f, F, n)
+                except (StructureError, OutOfDomainError) as exc:
+                    wrong.append((i, n, repr(exc)))
+                    continue
+                except MfError:
+                    continue
+                if isinstance(outcome, Certificate):
+                    wrong.append((i, n, outcome.text()))
+                elif not (outcome.verification.passed and outcome.verification.exact):
+                    wrong.append((i, n, repr(outcome.verification)))
+        assert wrong == []
+
+
 class CountingCache:
     """Stands for ``maps._EVALUATIONS`` and counts the caches opened."""
 
@@ -419,7 +530,7 @@ class TestOneCachePerBuild:
 
     @pytest.mark.parametrize("kind", ["square", "odd"])
     def test_decreasing_builds(self, kind, monkeypatch):
-        probes = ("_realize_decreasing", "_end_orbit_hit", "_finish", "verify_root")
+        probes = ("_realize", "_end_orbit_hit", "_finish", "verify_root")
         counter, seen = self.watch(monkeypatch, probes)
         if kind == "square":
             art = build_decreasing_square_root(random_reversing_pair_target(random.Random(0)))

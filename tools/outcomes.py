@@ -23,14 +23,17 @@ A build is hashed by its verification repr, its recipe and its jumps, with
 each branch's ends and the branch map's values at them and at 5 exact
 interior points; a certificate by its rule, claim and witnesses; a build
 that raises by the error's type and text.  An evaluation is hashed by its
-value or its error.  Prints one digest per set and side, and exits 1 when
-a set's digests differ.  ``perfbench/`` is read, never changed.  Stdlib
+value or its error.  Prints one digest per set and side, then each side's
+count per outcome class (exact root, grid root, certificate rule, error
+type; an evaluation's value or error type), and exits 1 when a set's
+digests differ.  ``perfbench/`` is read, never changed.  Stdlib
 only.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import importlib
 import json
@@ -39,6 +42,7 @@ import subprocess
 import sys
 import tempfile
 import types
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -90,9 +94,20 @@ def show(value) -> str:
     return repr(value)
 
 
-def show_attempt(call) -> str:
-    ok, result = attempt(call)
+def show_outcome(outcome) -> str:
+    ok, result = outcome
     return show(result) if ok else result
+
+
+def outcome_class(lib, outcome) -> str:
+    ok, result = outcome
+    if not ok:
+        return result.partition(":")[0]
+    if isinstance(result, lib.builder.Certificate):
+        return f"certificate {result.rule}"
+    if isinstance(result, lib.builder.RootArtifact):
+        return "exact root" if result.verification.exact else "grid root"
+    return "value"
 
 
 def describe_build(lib, outcome) -> str:
@@ -113,7 +128,7 @@ def describe_build(lib, outcome) -> str:
             points += [br.lo + (br.hi - br.lo) * Fraction(i, INTERIOR + 1)
                        for i in range(1, INTERIOR + 1)]
         lines.append(f"branch {show(br.lo)} {show(br.hi)}: "
-                     + ", ".join(show_attempt(lambda x=x: br.map(x)) for x in points))
+                     + ", ".join(show_outcome(attempt(lambda x=x: br.map(x))) for x in points))
     return "\n".join(lines)
 
 
@@ -141,31 +156,35 @@ def census(lib, gen, odd: bool, size: int):
 
 def worker(checkout: Path, args) -> dict:
     lib, workloads, gen = load(checkout)
-    digests = {}
+    digests, classes = {}, {}
 
-    def digest(name, texts):
-        h, count = hashlib.sha256(), 0
-        for text in texts:
-            h.update(text.encode() + b"\0")
-            count += 1
-        digests[name] = f"{h.hexdigest()[:16]} ({count} outcomes)"
+    def digest(name, keyed_calls, describe):
+        """Hashes ``prefix + describe(outcome)`` of each (prefix, call)."""
+        h, counts = hashlib.sha256(), Counter()
+        for prefix, call in keyed_calls:
+            outcome = attempt(call)
+            h.update((prefix + describe(outcome)).encode() + b"\0")
+            counts[outcome_class(lib, outcome)] += 1
+        digests[name] = f"{h.hexdigest()[:16]} ({sum(counts.values())} outcomes)"
+        classes[name] = counts
 
+    build = functools.partial(describe_build, lib)
     with tempfile.TemporaryDirectory(prefix="outcomes-") as tmp:
         for odd, name in ((False, "census"), (True, "odd-census")):
             if args.census:
-                digest(name, (describe_build(lib, attempt(call))
-                              for call in census(lib, gen, odd, args.census)))
+                digest(name, (("", call) for call in census(lib, gen, odd, args.census)),
+                       build)
         if args.roots:
-            digest("roots", (f"{seed} {op.key} " + describe_build(lib, attempt(op.call))
+            digest("roots", ((f"{seed} {op.key} ", op.call)
                              for seed in args.roots
                              for block in workloads.Roots(lib, seed, Path(tmp)).blocks
-                             for op in block))
+                             for op in block), build)
         if args.orbit_eval:
-            digest("orbit_eval", (f"{seed} {op.key} {show_attempt(op.call)}"
+            digest("orbit_eval", ((f"{seed} {op.key} ", op.call)
                                   for seed in args.orbit_eval
                                   for block in workloads.OrbitEval(lib, seed, Path(tmp)).blocks
-                                  for op in block))
-    return digests
+                                  for op in block), show_outcome)
+    return {"digests": digests, "classes": classes}
 
 
 # ---------------------------------------------------------------------------
@@ -201,12 +220,16 @@ def main(argv=None) -> int:
                 sys.exit(f"{side} run failed (exit {proc.returncode}):\n{proc.stderr[-2000:]}")
             results[side] = json.loads(proc.stdout.strip().splitlines()[-1])
 
-    print(f"parent {args.parent}, change the working tree")
+    print(f"parent {args.parent}, change the working tree; under each digest,"
+          " the parent's and the change's count per outcome class")
     status = 0
-    for name, old in results["parent"].items():
-        new = results["change"].get(name)
+    for name, old in results["parent"]["digests"].items():
+        new = results["change"]["digests"].get(name)
         print(f"{name:11s} parent {old}  change {new}  {'same' if old == new else 'DIFFERENT'}")
         status |= old != new
+        counts = [results[side]["classes"].get(name, {}) for side in ("parent", "change")]
+        for kind in sorted(set(counts[0]) | set(counts[1])):
+            print(f"{'':11s}   {counts[0].get(kind, 0):5d} {counts[1].get(kind, 0):5d}  {kind}")
     return status
 
 
