@@ -19,8 +19,10 @@ carries the value back along g_out, so f∘g_in = g_out∘f.  Its inverse is
 the partner direction, built once, which reads the same seed.  The orbit
 root and the orbit conjugacy are its two constructors; a mirrored root is
 the orbit root of the reflected problem turned about the pivot into one
-orbit map of the caller's frame, and a self pairing glues the orbit map ψ
-from one side of the fixed point to the other with ψ⁻¹∘g.  Over exact
+orbit map of the caller's frame.  A self pairing glues a map ψ from one
+side of the fixed point p to the other with ψ⁻¹∘g; over an exact affine g
+with exact anchors ψ is its seed segment x ↦ p + a(x − p), which commutes
+with g, and otherwise the orbit map of that segment.  Over exact
 affine data an orbit map is its own witness for ``core.prove_equivalent``:
 it commutes with its generators, it sends the attracting point of g_in to
 that of g_out, and it is affine between the orbit images of its seed's
@@ -919,18 +921,24 @@ def conjugacy(g1, lo1: Scalar, hi1: Scalar, g2, lo2: Scalar, hi2: Scalar,
 
 def _self_pairing(g, u, v, p, x0, y0) -> GenericMap:
     """Decreasing square root of an increasing map g on [u, v] around its
-    interior attracting fixed point p: above p the orbit map psi from the
-    right of p to the left, seeded by the segment sending [g(x0), x0] onto
-    [g(y0), y0], and below p psi^{-1} ∘ g."""
+    interior attracting fixed point p: above p the map psi from the right
+    of p to the left that commutes with g and agrees with the segment
+    sending [g(x0), x0] onto [g(y0), y0], and below p psi^{-1} ∘ g.
+
+    For an exact affine g with exact anchors psi is the segment itself,
+    x ↦ p + a(x − p) with a = (y0 − p)/(x0 − p): it passes through (p, p)
+    and commutes with g.  Otherwise psi is the orbit map seeded by it."""
     if y0 > g(u):
         raise BadSeedError(
             f"image anchor {format_scalar(y0)} must not exceed g({format_scalar(u)})")
     if not p < x0 <= v or not u <= y0 < p:
         raise BadSeedError("pairing anchors must sit on opposite sides of the fixed point")
-    right, left = _Domain(g, x0), _Domain(g, y0)
-    seg = _affine_through(right.image, left.image, x0, y0)  # decreasing
-    psi = _OrbitMap("self pairing", DEC, _SeedMap([(right.image, x0, seg)]), right, left,
-                    ((p, p),), _exact_generator(g, p) and is_exact(x0) and is_exact(y0))
+    psi = seg = _affine_through(g(x0), g(y0), x0, y0)  # decreasing
+    exact = _exact_generator(g, p) and is_exact(x0) and is_exact(y0)
+    if not exact:
+        right, left = _Domain(g, x0), _Domain(g, y0)
+        psi = _OrbitMap("self pairing", DEC, _SeedMap([(right.image, x0, seg)]), right, left,
+                        ((p, p),), False)
     glue = GluedMap((p,), (compose_maps(psi.inverse_map(), g), psi), (p,))
     # the glue alone would not refuse an argument below u: psi^{-1} takes
     # the same values in the inverse direction.  A seed can also send part
@@ -938,7 +946,7 @@ def _self_pairing(g, u, v, p, x0, y0) -> GenericMap:
     return GenericMap(DEC, lambda x: _in_range(glue(_in_range(x, u, v)), u, v),
                       lambda z: _preimage_in(z, glue.inverse(z), u, v),
                       ("self_pair_sqrt", format_scalar(x0), format_scalar(y0)),
-                      glue if psi.exact else None)
+                      glue if exact else None)
 
 
 def decreasing_square_root_pair(g_src, lo_src: Scalar, hi_src: Scalar,

@@ -10,8 +10,16 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from mfroots import Multifunction, intensity
-from mfroots.maps import ComposedMap, GenericMap, GluedMap
-from mfroots.scalar_roots import _OrbitMap
+from mfroots.maps import DEC, AffineMap, ComposedMap, GenericMap, GluedMap, compose_maps
+from mfroots.scalar_roots import (
+    _Domain,
+    _OrbitMap,
+    _SeedMap,
+    _exact_generator,
+    _in_range,
+    _preimage_in,
+)
+from mfroots.scalars import format_scalar
 
 # deterministic example generation keeps runtimes stable across runs
 settings.register_profile(
@@ -283,6 +291,28 @@ def random_dec_selfpair_target(rng: random.Random, slope_16ths=None) -> Multifun
         if F.validate().ok and intensity(F).value == 1:
             return F
     raise AssertionError("could not generate a decreasing self-pair target")
+
+
+def pair_orbit_map(g, p, x0, y0) -> _OrbitMap:
+    """The decreasing orbit map ψ around g's attracting fixed point p,
+    from the right of p to the left, seeded by the segment sending
+    [g(x0), x0] onto [g(y0), y0]; its partner runs from left to right.
+    A self pairing over exact affine data is this map's closed form."""
+    right, left = _Domain(g, x0), _Domain(g, y0)
+    seg = AffineMap.through(right.image, left.image, x0, y0)
+    return _OrbitMap("self pairing", DEC, _SeedMap([(right.image, x0, seg)]), right, left,
+                     ((p, p),), _exact_generator(g, p))
+
+
+def orbit_self_pairing(g, u, v, p, x0, y0) -> GenericMap:
+    """The self pairing of g on [u, v] glued from ``pair_orbit_map``: ψ
+    above p and ψ⁻¹∘g below it, with the range checks of the library's
+    pairing; the reference for its closed form."""
+    psi = pair_orbit_map(g, p, x0, y0)
+    glue = GluedMap((p,), (compose_maps(psi.inverse_map(), g), psi), (p,))
+    return GenericMap(DEC, lambda x: _in_range(glue(_in_range(x, u, v)), u, v),
+                      lambda z: _preimage_in(z, glue.inverse(z), u, v),
+                      ("self_pair_sqrt", format_scalar(x0), format_scalar(y0)), glue)
 
 
 def lazy_objects(m):

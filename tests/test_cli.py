@@ -165,6 +165,26 @@ class TestRoot:
         assert code == 0
         assert out.startswith("J3OrderBound")
 
+    def test_seed_specific_certificate_exit_two(self, capsys, tmp_path):
+        # census target 9: the cross pairing's seed sends 0 onto the jump
+        # 61/64, which says nothing of other seeds
+        target = tmp_path / "census9.mf"
+        target.write_text("domain 0 1\nmonotone inc\n"
+                          "branch 0 55/128 affine 79/110 15/256\n"
+                          "jump 55/128 [47/128,31/64]\n"
+                          "branch 55/128 61/64 affine 9/67 3659/8576\n"
+                          "jump 61/64 [71/128,73/128]\n"
+                          "branch 61/64 1 affine 77/12 -4259/768\n")
+        code, out, err = run(capsys, "root", str(target), "--order", "2",
+                             "--monotone", "dec", "-o", str(tmp_path / "r.mfr"))
+        assert code == 2 and err == ""
+        assert out.splitlines() == [
+            "EndpointInfeasible endpoint=0 image=61/64 power=1",
+            "claim: an image of a domain endpoint under the constructed root lands "
+            "exactly on a jump, which would create a jump of the iterate at the "
+            "endpoint; the construction with this seed fails"]
+        assert not (tmp_path / "r.mfr").exists()
+
     def test_error_exit_three(self, capsys, tmp_path):
         code, _, err = run(capsys, "root", data_path("growth_target.mf"),
                            "--order", "2", "--monotone", "inc",

@@ -19,10 +19,9 @@ from mfroots.builder import (
 )
 from mfroots.errors import IncompatiblePatternError, MfError
 from mfroots.io import load_mf, recipe_from_json, recipe_to_json
-from mfroots.maps import AffineMap
+from mfroots.maps import AffineMap, GenericMap
 from mfroots.scalar_roots import DEFAULT_SEED, _increasing_root_auto, odd_swap_maps
 
-from conftest import lazy_objects
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -85,8 +84,10 @@ def test_self_pairing_keeps_the_top_off_the_jump(pieces, jump, anchor):
     art = build_decreasing_square_root(F)
     assert isinstance(art, RootArtifact), art
     assert_exact(art)  # proved through the glue of psi and its inverse
-    assert "self pairing" in {o.name for br in art.realized.branches
-                              for o in lazy_objects(br.map)}
+    (psi,) = [br.map for br in art.realized.branches
+              if isinstance(br.map, GenericMap) and br.map.recipe[0] == "self_pair_sqrt"]
+    # over affine data psi is its seed segment, glued to its inverse after g
+    assert [type(m) for m in psi.witness.pieces] == [AffineMap, AffineMap]
     assert art.realized(1).singleton_value() == anchor
     assert art.recipe.payload["seed"] is None
     again = rebuild_from_recipe(F, art.recipe)

@@ -59,6 +59,7 @@ from conftest import (
     compositions,
     data_path,
     lazy_objects,
+    orbit_self_pairing,
     random_dec_selfpair_target,
     random_direct_routed,
     random_reversing_pair_target,
@@ -240,7 +241,8 @@ class TestMutations:
 
     def test_self_pairing_segment(self):
         # x -> 99x/100 + 1/300 maps [3/10, 2/5] into itself around its
-        # fixed point 1/3; the seed keeps the pairing off its closed form
+        # fixed point 1/3; the seed keeps the pairing off the affine root
+        # of slope -√(99/100)
         g = AffineMap(Q(99, 100), Q(1, 300))
         u, v = Q(3, 10), Q(2, 5)
         F = Multifunction.build(u, v, [(u, v, g.slope, g.intercept)])
@@ -249,10 +251,12 @@ class TestMutations:
         f = Multifunction(F.domain, mf.DEC, (Branch(u, v, psi),), ())
         report = verify_root(f, F, 2)
         assert report.passed and report.exact, report
-        # psi's two directions glued at the fixed point read one segment
-        pair = next(lazy_objects(psi))
-        ((lo, hi, seg),) = pair.seed.pieces
-        reseed(pair, [(lo, hi, nudge(seg))])
+        # psi's two pieces glued at the fixed point read one segment
+        glue = psi.witness
+        seg = glue.pieces[1]
+        assert glue.pieces == (compose_maps(seg.inverse_map(), g), seg)
+        moved = nudge(seg)
+        glue.pieces = (compose_maps(moved.inverse_map(), g), moved)
         assert_not_passed(f, F, 2)
 
 
@@ -734,18 +738,24 @@ class TestProvenValidation:
                           (AffineMap(Q(99, 100), Q(7, 1600)), Q(485, 512))]:
             psi = mf.decreasing_square_root_pair(
                 g, 0, 1, seed=ScalarRootSeed(anchor=anchor, image_anchor=0))[0]
-            # the orbit map above the fixed point, glued to its inverse after g
+            # the segment above the fixed point, glued to its inverse after g
+            p = g.fixed_point()
+            seg = AffineMap.through(p, p, anchor, 0)
             assert psi.orientation is mf.DEC and isinstance(psi.witness, GluedMap)
-            assert [o.name for o in lazy_objects(psi)] == ["inverse self pairing",
-                                                           "self pairing"]
-            # psi sends the anchor to 0, and [0, anchor] into itself
-            f = Multifunction(mf.ClosedInterval(0, anchor), mf.DEC,
-                              (Branch(0, anchor, psi),), ())
-            report = f.validate()
-            assert report.ok and report.sampled == ()
-            F = Multifunction.build(0, anchor, [(0, anchor, g.slope, g.intercept)])
-            report = verify_root(f, F, 2)
-            assert report.passed and report.exact, report
+            assert psi.witness.pieces == (compose_maps(seg.inverse_map(), g), seg)
+            # the same seed's orbit map, glued the same way
+            orbit = orbit_self_pairing(g, 0, 1, p, anchor, 0)
+            assert [o.name for o in lazy_objects(orbit)] == ["inverse self pairing",
+                                                             "self pairing"]
+            for m in (psi, orbit):
+                # m sends the anchor to 0, and [0, anchor] into itself
+                f = Multifunction(mf.ClosedInterval(0, anchor), mf.DEC,
+                                  (Branch(0, anchor, m),), ())
+                report = f.validate()
+                assert report.ok and report.sampled == ()
+                F = Multifunction.build(0, anchor, [(0, anchor, g.slope, g.intercept)])
+                report = verify_root(f, F, 2)
+                assert report.passed and report.exact, report
 
 
 def piece_points_by_sort(cells, pieces) -> list:

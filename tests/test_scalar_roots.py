@@ -49,6 +49,8 @@ from conftest import (
     compositions,
     data_path,
     lazy_objects,
+    orbit_self_pairing,
+    pair_orbit_map,
     random_dec_selfpair_target,
     random_direct_routed,
     random_reversing_pair_target,
@@ -629,18 +631,59 @@ class TestOrbitCarry:
         # the seed-3 pairing of the orbit_eval benchmark: its steep seed
         # sends p + 6517/10^5 below 0, and forward refuses the value
         p = Q(31, 64)
-        psi, _ = decreasing_square_root_pair(AffineMap(Q(99, 100), p / 100), 0, 1,
-                                             seed=ScalarRootSeed(anchor=Q(1025, 2048)))
-        pair = psi.witness.pieces[1]  # the orbit map above p
+        g = AffineMap(Q(99, 100), p / 100)
+        psi, _ = decreasing_square_root_pair(g, 0, 1, seed=ScalarRootSeed(anchor=Q(1025, 2048)))
+        pair = pair_orbit_map(g, p, Q(1025, 2048), 0)  # the same seed as an orbit map
         ((_, _, seg),) = pair.seed.pieces
         x = p + Q(6517, 10 ** 5)
         y, k = _orbit_land(pair.land, x)
         assert k > scalar_roots._WALK  # carried in factored form
         value = _orbit_carry(pair.land, pair.land, x, y, k, seg)
         assert value == carried_by_power(pair.land, pair.land, x, seg)
-        assert value == Q(-9732853, 6600000)
+        assert value == Q(-9732853, 6600000) == pair(x)
+        # above p the pairing is the seed segment, whose value is refused
+        assert psi.witness.pieces[1] == seg and seg(x) == value
         with pytest.raises(EvaluationRangeError, match=r"-9732853/6600000 outside \[0, 1\]"):
             psi(x)
+
+
+class TestSelfPairingClosedForm:
+    """Over exact affine data a self pairing is its seed segment above the
+    fixed point, glued to the segment's inverse after g below it: the
+    values and refusals of the orbit map of the same seed."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.fractions(Q(1, 100), Q(99, 100), max_denominator=100),
+           st.fractions(Q(1, 8), Q(7, 8), max_denominator=64),
+           st.fractions(Q(1, 64), 1, max_denominator=64),
+           st.fractions(0, 1, max_denominator=64))
+    def test_matches_the_orbit_map(self, s, p, above, below):
+        g = AffineMap(s, p * (1 - s))
+        # anchors that pass the seed checks: p < x0 <= 1, 0 <= y0 <= g(0) < p
+        x0, y0 = p + above * (1 - p), below * g(0)
+        psi, _ = decreasing_square_root_pair(
+            g, 0, 1, seed=ScalarRootSeed(anchor=x0, image_anchor=y0))
+        seg = psi.witness.pieces[1]
+        assert seg(x0) == y0 and seg(p) == p and seg.after(g) == g.after(seg)
+        want = orbit_self_pairing(g, 0, 1, p, x0, y0)
+        assert psi.recipe == want.recipe
+        points = [p + side * Q(1, 10 ** k) for k in range(1, 41) for side in (1, -1)]
+        for x in (*points, p, 0, 1, Q(-1, 4), Q(5, 4)):
+            assert outcome(psi, x) == outcome(want, x)
+            assert outcome(psi.inverse, x) == outcome(want.inverse, x)
+
+    def test_opaque_generator_keeps_the_orbit_map(self):
+        # g = x/2 + 1/4 behind a map with no witness: map_pattern samples
+        # its fixed point 1/2 exactly, and the pairing steps along g's orbits
+        g = AffineMap(Q(1, 2), Q(1, 4))
+        seed = ScalarRootSeed(anchor=Q(7, 8), image_anchor=Q(1, 8))
+        psi, _ = decreasing_square_root_pair(GenericMap(mf.INC, g, g.inverse), 0, 1, seed=seed)
+        closed, _ = decreasing_square_root_pair(g, 0, 1, seed=seed)
+        assert psi.witness is None and isinstance(closed.witness, GluedMap)
+        points = [Q(1, 2) + side * Q(1, 10 ** k) for k in range(1, 11) for side in (1, -1)]
+        for x in (*points, 0, 1, Q(5, 4)):
+            assert outcome(psi, x) == outcome(closed, x)
+            assert outcome(psi.inverse, x) == outcome(closed.inverse, x)
 
 
 class TestDeepPoints:
@@ -1226,16 +1269,13 @@ class TestOrbitPoints:
     sort gave."""
 
     def orbit_map(self, kind, s, anchor, n):
-        """An orbit root of x ↦ sx on [0, 1], or the orbit map of a self
-        pairing around 1/3 (above 1/3; its partner lies below)."""
+        """An orbit root of x ↦ sx on [0, 1], or the decreasing orbit map
+        of a self pairing around 1/3 (above 1/3; its partner lies below)."""
         if kind == "root":
             return _OrbitMap.root(AffineMap(s, 0), 0, 1, n, ScalarRootSeed(anchor=anchor))
         p = Q(1, 3)
         g = AffineMap(s, p * (1 - s))
-        psi, _ = decreasing_square_root_pair(
-            g, 0, 1, seed=ScalarRootSeed(anchor=p + (1 - p) * anchor,
-                                         image_anchor=g(0) * anchor))
-        return psi.witness.pieces[1]
+        return pair_orbit_map(g, p, p + (1 - p) * anchor, g(0) * anchor)
 
     @settings(max_examples=60, deadline=None)
     @given(st.sampled_from(["root", "pair"]), st.booleans(),

@@ -11,12 +11,13 @@ from hypothesis import given, settings, strategies as st
 import mfroots as mf
 from mfroots.builder import RootArtifact, build_increasing_root
 from mfroots.errors import (
+    InexactCutError,
     NoSingleTargetError,
     NotAJumpError,
     NotIncreasingError,
 )
-from mfroots.scalar_roots import DEFAULT_SEED, _increasing_root_auto
-from mfroots.structure import inclusion_fixed_points
+from mfroots.scalar_roots import DEFAULT_SEED, MapPattern, _increasing_root_auto, map_pattern
+from mfroots.structure import _below_diagonal, inclusion_fixed_points
 
 from conftest import (
     absorbing_target,
@@ -170,6 +171,51 @@ class TestSplit:
         assert mf.split_at_inclusion_fixed_points(F).cuts == (Q(1, 2),)
         art = build_increasing_root(F, 2)
         assert isinstance(art, RootArtifact) and art.verification.passed, art
+
+
+def opaque(forward):
+    """An increasing branch map with no witness, which the structure layer
+    can only sample; it takes no inverse."""
+    return mf.GenericMap(mf.INC, forward, lambda y: pytest.fail("inverse taken"), ("opaque",))
+
+
+def one_branch(m):
+    return mf.Multifunction(mf.ClosedInterval(0, 1), mf.INC, (mf.Branch(0, 1, m),), ())
+
+
+class TestSampledStructure:
+    """A branch map without a witness is sampled, and a crossing of the
+    diagonal between samples is bisected in floats; these pin the results."""
+
+    def test_irrational_crossing(self):
+        # x ↦ x²/2 + 1/4 fixes 1 − 1/√2, an attracting point
+        g = opaque(lambda x: x * x / 2 + Q(1, 4))
+        pattern = map_pattern(g, 0, 1)
+        assert pattern == MapPattern("interior", 0.2928932188134525, attracting=True)
+        assert math.isclose(pattern.fixed, 1 - 1 / math.sqrt(2))
+        F = one_branch(g)
+        assert inclusion_fixed_points(F) == [(0.2928932188134525, False)]
+        with pytest.raises(InexactCutError, match=r"^fixed point near 0\.292893218813 "
+                           "located by bisection only; the domain cannot be cut there exactly$"):
+            mf.split_at_inclusion_fixed_points(F)
+
+    def test_rational_crossing_off_the_samples(self):
+        # x ↦ x/2 + 1/6 fixes 1/3, which neither scan samples: both return
+        # floats, and the two bisections end on different ones
+        g = opaque(lambda x: x / 2 + Q(1, 6))
+        assert map_pattern(g, 0, 1) == MapPattern("interior", 0.33333333333333326,
+                                                  attracting=True)
+        assert inclusion_fixed_points(one_branch(g)) == [(0.3333333333333333, False)]
+
+    def test_spot_check_finds_a_bump_the_scan_misses(self):
+        # 999x/1000 plus a tent of height 1/5000 and slopes ±2/5 at 1/33 rises
+        # above the diagonal only within 1/2000 of 1/33: between the scan's
+        # samples 7/256 and 8/256, at the spot check's first point
+        F = one_branch(opaque(lambda x: Q(999, 1000) * x
+                              + max(Q(0), Q(1, 5000) - Q(2, 5) * abs(x - Q(1, 33)))))
+        assert inclusion_fixed_points(F) == []
+        assert _below_diagonal(F) == Q(1, 33)
+        assert mf.hypothesis_H(F) == mf.HReport(False, False, Q(1, 33))
 
 
 class TestHypothesis:

@@ -26,8 +26,9 @@ that raises by the error's type and text.  An evaluation is hashed by its
 value or its error.  Prints one digest per set and side, then each side's
 count per outcome class (exact root, grid root, certificate rule, error
 type; an evaluation's value or error type), and exits 1 when a set's
-digests differ.  ``perfbench/`` is read, never changed.  Stdlib
-only.
+digests differ.  For such a set it also prints the first three outcomes
+that differ, each side's first line cut to 160 characters.
+``perfbench/`` is read, never changed.  Stdlib only.
 """
 
 from __future__ import annotations
@@ -52,6 +53,8 @@ ROOTS_SEEDS = tuple(range(1, 13))
 ORBIT_SEEDS = (1, 2, 3, 5, 12, 37)
 CENSUS_SIZE = 80
 INTERIOR = 5  # exact interior points per branch
+MOVED = 3  # differing outcomes shown per set
+LINE = 160  # characters shown of each one's first line
 
 
 def seeds(text: str) -> tuple:
@@ -156,14 +159,18 @@ def census(lib, gen, odd: bool, size: int):
 
 def worker(checkout: Path, args) -> dict:
     lib, workloads, gen = load(checkout)
-    digests, classes = {}, {}
+    digests, classes, items = {}, {}, {}
 
     def digest(name, keyed_calls, describe):
-        """Hashes ``prefix + describe(outcome)`` of each (prefix, call)."""
-        h, counts = hashlib.sha256(), Counter()
+        """Hashes ``prefix + describe(outcome)`` of each (prefix, call),
+        and keeps each one's own hash and cut first line."""
+        h, counts, items[name] = hashlib.sha256(), Counter(), []
         for prefix, call in keyed_calls:
             outcome = attempt(call)
-            h.update((prefix + describe(outcome)).encode() + b"\0")
+            text = prefix + describe(outcome)
+            h.update(text.encode() + b"\0")
+            items[name].append((hashlib.sha256(text.encode()).hexdigest()[:16],
+                                text.partition("\n")[0][:LINE]))
             counts[outcome_class(lib, outcome)] += 1
         digests[name] = f"{h.hexdigest()[:16]} ({sum(counts.values())} outcomes)"
         classes[name] = counts
@@ -184,7 +191,7 @@ def worker(checkout: Path, args) -> dict:
                                   for seed in args.orbit_eval
                                   for block in workloads.OrbitEval(lib, seed, Path(tmp)).blocks
                                   for op in block), show_outcome)
-    return {"digests": digests, "classes": classes}
+    return {"digests": digests, "classes": classes, "items": items}
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +237,10 @@ def main(argv=None) -> int:
         counts = [results[side]["classes"].get(name, {}) for side in ("parent", "change")]
         for kind in sorted(set(counts[0]) | set(counts[1])):
             print(f"{'':11s}   {counts[0].get(kind, 0):5d} {counts[1].get(kind, 0):5d}  {kind}")
+        sides = zip(*(results[side]["items"].get(name, []) for side in ("parent", "change")))
+        moved = [(a, b) for a, b in sides if a[0] != b[0]][:MOVED]
+        for (_, a), (_, b) in moved:
+            print(f"{'':11s}   parent: {a}\n{'':11s}   change: {b}")
     return status
 
 
